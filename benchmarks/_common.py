@@ -11,7 +11,6 @@ output capturing.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -19,41 +18,6 @@ import numpy as np
 from repro.graph import build_graph, erdos_renyi, rmat, uniform_weights
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def timed_with_warmup(fn, *, warmup: int = 1, repeats: int = 3) -> dict:
-    """Time ``fn()`` with explicit warmup passes reported separately.
-
-    The native fast path pays one-time costs on the first run of a given
-    machine/plan shape — kernel generation plus (with numba) JIT
-    compilation.  Folding that into steady-state numbers would make the
-    native tier look arbitrarily slow or fast depending on cache state,
-    so benches call ``fn`` ``warmup`` times first and report:
-
-    - ``warmup_s``: wall seconds of each warmup pass (JIT time lives here)
-    - ``runs_s``:   wall seconds of each measured pass
-    - ``best_s``:   min of the measured passes (steady-state figure)
-
-    ``fn`` must be self-contained (build machine, bind, run) so every
-    pass re-executes the full algorithm; per-process kernel caches make
-    the later passes steady-state.
-    """
-    warmup_s = []
-    for _ in range(warmup):
-        t0 = time.perf_counter()
-        fn()
-        warmup_s.append(time.perf_counter() - t0)
-    runs_s = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        runs_s.append(time.perf_counter() - t0)
-    return {
-        "warmup_s": warmup_s,
-        "runs_s": runs_s,
-        "best_s": min(runs_s),
-        "mean_s": sum(runs_s) / len(runs_s),
-    }
 
 
 def write_result(name: str, title: str, body: str) -> Path:

@@ -13,8 +13,8 @@ runtime adding only local bookkeeping posts.
 
 A second table quantifies the *execution* side of the abstraction cost
 (DESIGN.md Sec. 6): wall-clock per algorithm with the plan interpreter
-(``fast_path="off"``), the compiled closures, and the vectorized batch
-path — identical outputs required across all three.
+(``fast_path="off"``) and the vector fast tier — identical outputs
+required.
 """
 
 import time
@@ -89,7 +89,7 @@ def test_c6_abstraction_cost(benchmark):
 
 
 def test_c6_fastpath_wallclock():
-    """Interpreted vs compiled vs vectorized wall clock, same outputs."""
+    """Interpreted vs vector-tier wall clock, same outputs."""
     g, wg = er_weighted(n=512, avg_deg=8, seed=21)
     gu, _, _ = er_undirected(n=400, m=900, seed=22)
     layers = {"coalescing": 32}
@@ -122,9 +122,7 @@ def test_c6_fastpath_wallclock():
             {
                 "algorithm": name,
                 "interpreted_s": round(times["off"], 4),
-                "compiled_s": round(times["compiled"], 4),
                 "vectorized_s": round(times["vector"], 4),
-                "compiled_speedup": round(times["off"] / times["compiled"], 2),
                 "vector_speedup": round(times["off"] / times["vector"], 2),
             }
         )

@@ -14,7 +14,8 @@ everything it reads is counters, gauges, and the flight-recorder ring):
   needs no body parsing.
 * ``GET /status`` — a JSON snapshot for humans and dashboards: current
   epoch, per-rank progress and handler time, skew scores, watchdog
-  states, and the tail of the flight recorder.
+  states, the fast path with each bound action's resolved tier and the
+  reason for it, and the tail of the flight recorder.
 
 Start it with ``Machine(observe=True)`` (ephemeral port),
 ``Machine(observe=9464)`` (fixed port), or an
@@ -118,6 +119,7 @@ def _make_handler(machine):
                     status["flight_tail"] = machine.flight.tail(16)
                     status["n_ranks"] = machine.n_ranks
                     status["fast_path"] = machine.fast_path
+                    status["tiers"] = machine.action_tiers
                     status["transport"] = type(machine.transport).__name__
                     self._send_json(200, status)
                 elif path == "/":

@@ -301,13 +301,11 @@ def to_prometheus(machine) -> str:
         f"{stats.checkpoint.dirty_fraction:.9f}",
     )
 
-    # -- native kernel tier (reflective over NativeStats) --------------------
-    for fld in dataclasses.fields(stats.native):
-        metric = f"repro_native_{fld.name}"
-        kind = "counter" if fld.type in ("int", int) else "gauge"
-        w.declare(metric, kind, f"NativeStats.{fld.name}")
-        value = getattr(stats.native, fld.name)
-        w.sample(metric, {}, f"{value:.9f}" if isinstance(value, float) else value)
+    # -- fast tiers and fusion (reflective over FusionStats) ----------------
+    for fld in dataclasses.fields(stats.fusion):
+        metric = f"repro_fusion_{fld.name}"
+        w.declare(metric, "counter", f"FusionStats.{fld.name}")
+        w.sample(metric, {}, getattr(stats.fusion, fld.name))
 
     # -- partition quality (reflective over PartitionStats) ------------------
     part = stats.partition

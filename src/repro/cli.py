@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import Machine
-from .runtime.machine import FAST_PATHS
+from .runtime.machine import DEFAULT_FAST_PATH, FAST_PATHS
 from .analysis import collect_report, format_table
 from .graph import (
     barabasi_albert,
@@ -101,13 +101,18 @@ def _machine(args) -> Machine:
     machine = Machine(
         n_ranks=args.ranks,
         transport=getattr(args, "transport", "sim"),
-        fast_path=getattr(args, "fast_path", "off"),
+        fast_path=getattr(args, "fast_path", DEFAULT_FAST_PATH),
         schedule=args.schedule,
         seed=args.seed,
         detector=args.detector,
         routing=args.routing,
         telemetry=_telemetry_level(args),
         chaos=chaos,
+        # --crash schedules a crash and no wire fault, so nothing needs
+        # retransmission.  Reliable delivery's acks would reorder the
+        # schedule, and the fused tier's logical message counts depend on
+        # the schedule, so the crash run would not match the plain run.
+        reliable=False if crash else None,
         checkpoint=checkpoint,
     )
     if restore_from:
@@ -641,10 +646,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--fast-path",
             choices=list(FAST_PATHS),
-            default="off",
-            help="execution tier: interpreted walk, bind-time compiled "
-            "closures, numpy batch kernels, or generated native kernels "
-            "(falls back to vector when numba is unavailable)",
+            default=DEFAULT_FAST_PATH,
+            help="'off' runs the interpreted reference walk; 'vector' runs "
+            "numpy batch kernels with gather->evaluate fusion where the "
+            "plan shape allows it, and the compiled walk elsewhere",
         )
         p.add_argument(
             "--partition",

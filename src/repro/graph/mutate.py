@@ -19,8 +19,8 @@ Key design points:
   O(1), not a rebuild.
 * **In-place patching.** ``graph.partition``, ``graph.locals``,
   ``graph.edge_offsets`` and every map's per-rank slices are replaced on
-  the *same* objects the fast paths closed over, so compiled/vector/
-  native plans see the new topology without rebinding.
+  the *same* objects the fast paths closed over, so walk, vector and
+  fused plans see the new topology without rebinding.
 * **Gid remapping.** Deletes and inserts shift global edge ids; the
   returned :class:`MutationDelta` carries ``gid_map`` (old gid → new gid,
   ``-1`` for removed arcs) and the exact lists of inserted/removed/

@@ -25,6 +25,7 @@ re-buckets the vertex).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -57,8 +58,7 @@ from .expr import (
     unalias,
 )
 from ..runtime.coalescing import CoalescingLayer
-from .fastpath import _MISSING, compile_steps, recognize_vector_shape
-from .native import build_native_plan
+from .fastpath import _MISSING, VectorPlan, compile_steps, recognize_vector_shape
 from .pattern import Pattern, PropertyDecl, default_for
 from .planner import ActionPlan, compile_action
 
@@ -151,31 +151,32 @@ class BoundAction:
             address_of=lambda p: p[0],
             **bound.layer_config.get(self.name, {}),
         )
-        # -- execution fast paths (repro/patterns/fastpath.py) --------------
-        # "off": interpreted tree walk (the correctness oracle).
-        # "compiled": per-step closures compiled once, bit-identical
-        # payloads/statistics/values to the interpreted walk.
-        # "vector": additionally, recognizable plan shapes get a numpy
-        # batch kernel installed as the message type's batch handler.
-        # "native": recognizable shapes are lowered to generated per-schema
-        # kernel modules (repro/patterns/native.py) with gather->evaluate
-        # fusion for rank-local edges; unrecognized shapes fall back to
-        # the compiled walk exactly as "vector" does.
-        fp = bound.machine.fast_path
-        self._compiled = compile_steps(self) if fp != "off" else None
+        # -- execution tier (repro/patterns/fastpath.py) --------------------
+        # fast_path="off" runs the interpreted walk (the correctness
+        # oracle).  fast_path="vector" runs the "fused" tier when the plan
+        # shape allows it (batch kernels plus gather->evaluate fusion for
+        # rank-local edges), else the "walk" tier (per-step closures
+        # compiled once, bit-identical to the interpreted walk).
+        machine = bound.machine
+        self.vector_plan: Optional[VectorPlan] = None
+        self._compiled = compile_steps(self) if machine.fast_path != "off" else None
         self._walk_fn = self._walk if self._compiled is None else self._walk_compiled
-        self.vector_plan = (
-            recognize_vector_shape(self) if fp in ("vector", "native") else None
-        )
-        self.native_plan = None
-        if fp == "native":
-            if self.vector_plan is not None:
-                self.native_plan = build_native_plan(self)
-            if self.native_plan is None:
-                bound.machine.stats.count_native("fallbacks")
-        self._apply_batch = (
-            self._native_apply if self.native_plan is not None else self._vector_apply
-        )
+        if machine.fast_path == "off":
+            tier, reason = "walk", "fast_path='off': interpreted reference walk"
+        else:
+            shape = recognize_vector_shape(self)
+            if isinstance(shape, str):
+                tier, reason = "walk", shape
+                machine.stats.count_fusion("fallbacks")
+            else:
+                self.vector_plan = shape
+                self.mtype.batch_handler = self._batch_handler
+                tier, reason = "fused", shape.fusion_reason
+        #: Resolved execution tier ("fused" | "walk") and why.
+        self.tier = tier
+        self.tier_reason = reason
+        machine.stats.count_fusion(f"actions_{tier}")
+        machine.action_tiers[self.mtype.name] = {"tier": tier, "reason": reason}
         # Bulk-row sends may bypass the per-payload layer walk only when
         # the stack is exactly one coalescing layer (flush boundaries are
         # then reproduced precisely; any other layer must see each row).
@@ -185,8 +186,6 @@ class BoundAction:
             if len(layers) == 1 and isinstance(layers[0], CoalescingLayer)
             else None
         )
-        if self.vector_plan is not None:
-            self.mtype.batch_handler = self._batch_handler
 
     # -- slot table -----------------------------------------------------------
     def _all_keys(self) -> set:
@@ -233,10 +232,8 @@ class BoundAction:
     def _handler(self, ctx, payload: tuple) -> None:
         dest, ci, si, env = self._unpack(payload)
         if ci == -1:
-            if self.native_plan is not None:
-                self._native_generate(ctx, (dest,))
-            elif self.vector_plan is not None:
-                self._vector_generate(ctx, dest)
+            if self.vector_plan is not None:
+                self._vector_generate(ctx, (dest,))
             else:
                 self._run_generator(ctx, dest)
         else:
@@ -422,9 +419,9 @@ class BoundAction:
                     if self.work is not None:
                         self.work(ctx, w)
 
-    # -- tier 1: the compiled step walker -----------------------------------------
+    # -- the walk tier: the compiled step walker -------------------------------------
     def _walk_compiled(self, ctx, at_vertex: int, ci: int, si: int, env: dict) -> None:
-        """Closure-compiled twin of :meth:`_walk` (fast_path != "off").
+        """Closure-compiled twin of :meth:`_walk` (fast_path="vector").
 
         Identical control flow, payloads, statistics and property values —
         only the per-message expression interpretation is replaced by the
@@ -492,81 +489,116 @@ class BoundAction:
                 return
             ci, si = nxt, 0
 
-    # -- tier 2: vectorized generation and batch delivery --------------------------
-    def _vector_generate(self, ctx, v: int) -> None:
-        """Vectorized generator fan-out for a recognized plan shape.
+    # -- the fused tier: batched generation and delivery ------------------------------
+    def _vector_generate(self, ctx, starts) -> None:
+        """Fused multi-source generator fan-out for a recognized plan shape.
 
-        Computes every out-edge's candidate value with one numpy kernel
-        over the rank's CSR slice, then sends one message per edge through
-        the normal layer stack — message counts and payloads match the
-        scalar walk exactly.  Self-loop arcs run the eval step inline, as
-        elision would.
+        One pass builds the fan-out rows of every start vertex in
+        ``starts`` from the rank's CSR (a repeat/cumsum index build) and
+        evaluates each carried payload column with one kernel call over
+        all rows.
+
+        The planner proved the gather -> evaluate pair fusable
+        (:func:`~repro.patterns.locality.fusion_report`): rank-local rows
+        are applied inline as one extremum scatter — the collapsed message
+        round — and only rank-remote rows travel.  Of several remote
+        candidates for one destination, only the best can survive the
+        confluent compare-and-assign, so dominated rows change neither the
+        final map nor the dependent set and are dropped before the wire.
         """
         vp = self.vector_plan
         g = self.bound.graph
         rank = ctx.rank
         csr = g.locals[rank]
-        local = g.partition.local_index(v)
-        sl = int(csr.indptr[local])
-        se = int(csr.indptr[local + 1])
-        if se == sl:
+        vsrc = np.asarray(starts, dtype=np.int64)
+        locs = g.partition.local_index_array(vsrc)
+        first = csr.indptr[locs]
+        counts = csr.indptr[locs + 1] - first
+        total = int(counts.sum())
+        if total == 0:
             return
-        targets = csr.targets[sl:se].tolist()
-        # One kernel evaluation per carried env key; scalars (e.g. the
-        # input vertex id, dist[v]+... candidates on uniform graphs) stay
-        # scalar, per-edge values become aligned lists.
-        cols: list = []  # (slot, per_edge_list or None, scalar_value)
-        for slot, kern in vp.carry_vecs:
-            val = np.asarray(kern(rank, local, sl, se, v))
-            if val.ndim == 0:
-                cols.append((slot, None, val.tolist()))
+        reps = np.repeat(np.arange(locs.shape[0]), counts)
+        flat = np.arange(total) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        srcl, vrow = locs[reps], vsrc[reps]
+        t = csr.targets[flat]
+        # Scalar columns (constants) broadcast to one value per row.
+        cols = [
+            np.broadcast_to(kern(rank, srcl, flat, vrow), (total,))
+            for _, kern in vp.carry_vecs
+        ]
+        stats = ctx.stats
+        stats.count_fusion("fused_rounds")
+        owners = g.partition.owner_array(t)
+        local = owners == rank
+        n_local = int(np.count_nonzero(local))
+        if n_local:
+            stats.count_fusion("fused_edges", n_local)
+            cand = cols[vp.cand_col]
+            if n_local == total:
+                self._vector_apply(ctx, t, cand)
+                return
+            self._vector_apply(ctx, t[local], cand[local])
+            remote = ~local
+            t, owners = t[remote], owners[remote]
+            cols = [c[remote] for c in cols]
+        if t.shape[0] > 1:
+            order = np.lexsort((cols[vp.cand_col], t))
+            ts = t[order]
+            best = np.empty(ts.shape[0], dtype=bool)
+            if vp.minimize:
+                best[0] = True  # first of each ascending-candidate group
+                np.not_equal(ts[1:], ts[:-1], out=best[1:])
             else:
-                cols.append((slot, val.tolist(), None))
-        send = ctx.send
-        mtype = self.mtype
-        esi = vp.eval_si
-        eval_step = self.plan.cond_plans[0].steps[esi]
-        loc_key, cand_key = eval_step._loc_key, vp.cand_key
-        cand_col = (vp.cand_pos - 4) // 2
-        for i, t in enumerate(targets):
-            if t == v:
-                # self-loop: the eval step runs inline at v (as elision
-                # would); only the candidate matters to the merged handler
-                _, per_edge, scalar = cols[cand_col]
-                c = per_edge[i] if per_edge is not None else scalar
-                self._walk_fn(ctx, v, 0, esi, {loc_key: v, cand_key: c})
-                continue
-            payload: list = [t, 0, esi]
-            for slot, per_edge, scalar in cols:
-                payload.append(slot)
-                payload.append(per_edge[i] if per_edge is not None else scalar)
-            send(mtype, tuple(payload))
+                best[-1] = True  # last of each group: the max
+                np.not_equal(ts[1:], ts[:-1], out=best[:-1])
+            keep = order[best]
+            if keep.shape[0] < t.shape[0]:
+                keep.sort()  # preserve generation order on the wire
+                t, owners = t[keep], owners[keep]
+                cols = [c[keep] for c in cols]
+        stats.count_fusion("remote_rows", t.shape[0])
+        layer = self._bulk_layer
+        if layer is not None and not ctx.machine.telemetry.spans_on:
+            # Straight into the per-destination buffers, with the flush
+            # boundaries sequential sends would produce: logical send
+            # counts, flush counts and envelope contents are unchanged.
+            for r in np.unique(owners).tolist():
+                mask = owners == r
+                rows = self._pack_rows(t[mask], [c[mask] for c in cols])
+                layer.send_rows(ctx.rank, r, rows)
+            return
+        send, mtype = ctx.send, self.mtype
+        for p in self._pack_rows(t, cols):
+            send(mtype, p)
+
+    def _pack_rows(self, dests, cols) -> list:
+        """Eval-step payload tuples ``(t, 0, esi, slot, value, ...)`` for
+        fan-out rows: the scalar walk's exact wire layout."""
+        vp = self.vector_plan
+        parts: list = [dests.tolist(), repeat(0), repeat(vp.eval_si)]
+        for slot, c in zip(vp.slot_sig, cols):
+            parts += [repeat(slot), c.tolist()]
+        return list(zip(*parts))
 
     def _batch_handler(self, ctx, payloads: tuple) -> None:
-        """Vectorized delivery of one coalesced envelope (fast_path="vector").
+        """Vectorized delivery of one coalesced envelope.
 
         Payloads addressed at the recognized eval step are applied as one
-        scatter kernel; anything else (generator starts, unrecognized
-        resume points) falls back to the scalar handler, preserving exact
-        semantics for the long tail.
+        scatter kernel, generator starts as one multi-source fan-out;
+        anything else (unrecognized resume points) falls back to the
+        scalar handler, preserving exact semantics for the long tail.
         """
         vp = self.vector_plan
         esi = vp.eval_si
         plen, sig, cand_pos = vp.payload_len, vp.slot_sig, vp.cand_pos
-        np_plan = self.native_plan
+        tel = ctx.machine.telemetry
         if isinstance(payloads, WireBatch):
-            if (
-                np_plan is not None
-                and payloads.ncols == 3
-                and payloads.col_const(1) == -1
-            ):
+            if payloads.ncols == 3 and payloads.col_const(1) == -1:
                 # A whole frame of generator starts (work-hook re-invokes,
-                # driver injections): one fused multi-source fan-out call
-                # consumes the columnar frame, zero per-row dispatch.
-                tel = ctx.machine.telemetry
+                # driver injections): consumed columnar, no per-row dispatch.
                 if tel.spans_on:
-                    tel.annotate(native_starts=len(payloads))
-                self._native_generate(ctx, payloads.column(0))
+                    tel.annotate(starts=len(payloads))
+                self._vector_generate(ctx, payloads.column(0))
                 return
             if payloads.ncols == plen:
                 # Columnar wire delivery (process transport): test the
@@ -579,7 +611,6 @@ class BoundAction:
         cands: list = []
         starts: list = []
         rest: list = []
-        batch_starts = np_plan is not None
         for p in payloads:
             if (
                 len(p) == plen
@@ -589,18 +620,17 @@ class BoundAction:
             ):
                 dests.append(p[0])
                 cands.append(p[cand_pos])
-            elif batch_starts and len(p) == 3 and p[1] == -1:
+            elif len(p) == 3 and p[1] == -1:
                 starts.append(p[0])
             else:
                 rest.append(p)
-        tel = ctx.machine.telemetry
         if tel.spans_on:
-            tel.annotate(vectorized=len(dests), fallback=len(rest) + len(starts))
+            tel.annotate(vectorized=len(dests), starts=len(starts), fallback=len(rest))
         if dests:
-            self._apply_batch(ctx, dests, cands)
+            self._vector_apply(ctx, dests, cands)
             ctx.stats.count_vector_items(self.mtype.name, len(dests))
         if starts:
-            self._native_generate(ctx, starts)
+            self._vector_generate(ctx, starts)
         for p in rest:
             self._handler(ctx, p)
 
@@ -631,14 +661,14 @@ class BoundAction:
             # traffic (constant ci/si/slot columns elided on the wire).
             if tel.spans_on:
                 tel.annotate(vectorized=len(wb), fallback=0)
-            self._apply_batch(ctx, *wb.columns(0, cand_pos))
+            self._vector_apply(ctx, *wb.columns(0, cand_pos))
             ctx.stats.count_vector_items(self.mtype.name, len(wb))
             return True
         n_match = int(mask.sum())
         if tel.spans_on:
             tel.annotate(vectorized=n_match, fallback=len(wb) - n_match)
         if n_match:
-            self._apply_batch(
+            self._vector_apply(
                 ctx, wb.column(0)[mask], wb.column(cand_pos)[mask]
             )
             ctx.stats.count_vector_items(self.mtype.name, n_match)
@@ -682,140 +712,9 @@ class BoundAction:
                 if work is not None:
                     work(ctx, w)
 
-    # -- tier 3: native generated kernels (fast_path="native") ----------------------
-    def _native_generate(self, ctx, starts) -> None:
-        """Fused multi-source fan-out through the generated kernels.
-
-        One ``fanout`` call evaluates every carried payload column for
-        every edge of every start vertex in ``starts``.  When the planner
-        proved the gather -> evaluate pair fusable
-        (:func:`~repro.patterns.locality.fusion_report`), rank-local edges
-        are applied inline under the destination locks — the collapsed
-        message round — and only rank-remote edges are packed into wire
-        rows.  Payload values are bit-identical to the vector path's (the
-        generated column expressions are the same numpy operations).
-        """
-        np_plan = self.native_plan
-        if not np_plan.fused:
-            # Fusion not proven: keep the vector path's per-vertex message
-            # semantics (static_message_count without the fused discount).
-            for v in starts if not isinstance(starts, np.ndarray) else starts.tolist():
-                self._vector_generate(ctx, int(v))
-            return
-        g = self.bound.graph
-        rank = ctx.rank
-        csr = g.locals[rank]
-        vglob = np.asarray(starts, dtype=np.int64)
-        locs = g.partition.local_index_array(vglob)
-        arrays = [m.local_slice(rank) for m in np_plan.vmaps] + [
-            m.local_slice(rank) for m in np_plan.emaps
-        ]
-        out = np_plan.kernels["fanout"](
-            locs, vglob, csr.indptr, csr.targets, *arrays
-        )
-        t, cols = out[0], out[1:]
-        total = t.shape[0]
-        if total == 0:
-            return
-        stats = ctx.stats
-        stats.count_native("fused_rounds")
-        cand = cols[np_plan.cand_col]
-        owners = g.partition.owner_array(t)
-        local_mask = owners == rank
-        n_local = int(local_mask.sum())
-        if n_local:
-            stats.count_native("fused_edges", n_local)
-            if n_local == total:
-                self._native_apply(ctx, t, cand)
-                return
-            self._native_apply(ctx, t[local_mask], cand[local_mask])
-        if n_local < total:
-            remote = ~local_mask
-            rt = t[remote]
-            rowners = owners[remote]
-            rcols = [c[remote] for c in cols]
-            if rt.shape[0] > 1:
-                # Confluent extremum: of several candidates fanned out to
-                # the same remote vertex in one round, only the best can
-                # survive the compare-and-assign — dominated rows change
-                # neither the final map nor the dependent set, so drop
-                # them before they reach the wire.
-                rcand = rcols[np_plan.cand_col]
-                order = np.lexsort((rcand, rt))
-                ts = rt[order]
-                best = np.empty(ts.shape[0], dtype=bool)
-                if np_plan.vector.minimize:
-                    best[0] = True  # first of each ascending-cand group
-                    np.not_equal(ts[1:], ts[:-1], out=best[1:])
-                else:
-                    best[-1] = True  # last of each group: the max
-                    np.not_equal(ts[1:], ts[:-1], out=best[:-1])
-                keep = order[best]
-                if keep.shape[0] < rt.shape[0]:
-                    keep.sort()  # preserve generation order on the wire
-                    rt = rt[keep]
-                    rowners = rowners[keep]
-                    rcols = [c[keep] for c in rcols]
-            stats.count_native("remote_rows", rt.shape[0])
-            self._native_send_rows(ctx, rt, rowners, rcols)
-
-    def _native_apply(self, ctx, dests, cands) -> None:
-        """Batch compare-and-update through the generated scatter kernel.
-
-        Twin of :meth:`_vector_apply` — same locking, change accounting
-        and work-hook firing — with the extremum loop and dependent-set
-        collection delegated to the per-schema kernels.
-        """
-        np_plan = self.native_plan
-        vp = self.vector_plan
-        dv = np.asarray(dests, dtype=np.int64)
-        cv = np.asarray(cands)
-        local = self.bound.graph.partition.local_index_array(dv)
-        self.assign_count += len(dv)
-        with self.bound.lockmap.lock_many(dv):
-            changed = vp.target_map.scatter_with(
-                ctx.rank, local, cv, np_plan.kernels["scatter"]
-            )
-        if not changed.any():
-            return
-        touched = np_plan.kernels["collect"](dv, changed)
-        self.change_count += len(touched)
-        if vp.dependent:
-            stats = ctx.stats
-            work = self.work
-            for w in touched.tolist():
-                stats.count_work_item()
-                if work is not None:
-                    work(ctx, w)
-
-    def _native_send_rows(self, ctx, dests, owners, cols) -> None:
-        """Ship rank-remote fan-out rows, bulk when provably equivalent.
-
-        With a single coalescing layer and spans off, rows are appended
-        straight into the per-destination buffers with the exact flush
-        boundaries sequential ``ctx.send`` calls would produce — logical
-        send counts, flush counts and envelope contents are unchanged.
-        Any other configuration (telemetry spans, reduction/caching
-        layers, no coalescing) takes the ordinary per-row send path.
-        """
-        pack = self.native_plan.kernels["pack"]
-        machine = ctx.machine
-        layer = self._bulk_layer
-        if layer is not None and not machine.telemetry.spans_on:
-            src = ctx.rank
-            for r in np.unique(owners).tolist():
-                mask = owners == r
-                rows = pack(dests[mask], *[c[mask] for c in cols])
-                layer.send_rows(src, int(r), rows)
-            return
-        send = ctx.send
-        mtype = self.mtype
-        for p in pack(dests, *cols):
-            send(mtype, p)
-
     # -- introspection ------------------------------------------------------------
     def describe(self) -> str:
-        return self.plan.describe()
+        return f"{self.plan.describe()}\n  tier: {self.tier} ({self.tier_reason})"
 
     def reset_counters(self) -> None:
         self.change_count = 0

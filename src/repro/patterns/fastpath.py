@@ -3,28 +3,32 @@
 The interpreted executor (:mod:`repro.patterns.executor`) re-walks the
 expression tree through ``_Evaluator.eval`` for every delivered payload —
 an ``unalias``/``key()``/``isinstance`` dispatch per AST node per message.
-This module removes that CPU tax in two tiers while keeping the
-message-level semantics of the interpreted path as the reference:
+``fast_path="vector"`` (the default) removes that CPU tax while keeping
+the message-level semantics of the interpreted walk (``fast_path="off"``)
+as the reference.  Each bound action resolves to one of two tiers:
 
-**Tier 1 — plan compilation** (:class:`ClosureCompiler`,
-:func:`compile_steps`).  At ``bind()`` time every step's condition and
-modification chain is compiled once into plain Python closures.  A closure
-takes ``(env, rank)`` and returns the expression's value; environment
-lookups, property reads and operator dispatch are resolved at compile
-time, so per-message work is a handful of dict probes and calls.  The
-compiled walk produces bit-identical payloads, statistics and property
-values to the interpreted walk.
+**walk** (:class:`ClosureCompiler`, :func:`compile_steps`).  At ``bind()``
+time every step's condition and modification chain is compiled once into
+plain Python closures.  A closure takes ``(env, rank)`` and returns the
+expression's value; environment lookups, property reads and operator
+dispatch are resolved at compile time, so per-message work is a handful
+of dict probes and calls.  The compiled walk produces bit-identical
+payloads, statistics and property values to the interpreted walk, and it
+is the fallback for every plan the fused shape does not match.
 
-**Tier 2 — vector shape recognition** (:func:`recognize_vector_shape`).
-Plans matching the SSSP-relax / CC-hook shape — a single ``out_edges`` or
-``adj`` generator, one merged comparison condition, and one min/max-style
-assignment at the generated neighbour — are additionally compiled to
-*batch kernels*: a whole coalesced envelope of payloads is executed as
-numpy operations over ``LocalCSR`` arrays and property-map backing arrays
-(``np.minimum.at``-style scatter), with dependent-vertex ``work`` hooks
-fired from the changed mask.  Plans outside the shape fall back to the
-scalar path; the machine's ``fast_path`` flag ("off" | "compiled" |
-"vector") keeps the interpreted path available as the correctness oracle.
+**fused** (:func:`recognize_vector_shape`).  Plans matching the
+SSSP-relax / CC-hook shape — a single ``out_edges`` or ``adj`` generator,
+one merged comparison condition, and one min/max-style assignment at the
+generated neighbour — are compiled to *index-array kernels*: every
+carried payload column of a whole batch of start vertices is computed as
+numpy operations over ``LocalCSR`` arrays and property-map backing arrays,
+and a whole coalesced envelope of payloads is applied as one extremum
+scatter (``np.minimum.at``), with dependent-vertex ``work`` hooks fired
+from the changed mask.  Every such shape is also gather -> evaluate
+fusable (:func:`~repro.patterns.locality.fusion_report`: the kernels'
+expressions are all source-local, and the update is a confluent
+extremum), so the fan-out applies rank-local edges inline (no message at
+all) and drops dominated remote candidates before they reach the wire.
 
 Single-vertex consistency (paper Sec. IV-A merging) is preserved: the
 batch kernel takes every destination vertex's lock before mutating and a
@@ -59,15 +63,14 @@ from .expr import (
     TrgOf,
     unalias,
 )
-
-FAST_PATHS = ("off", "compiled", "vector", "native")
+from .locality import fusion_report, match_extremum
 
 _MISSING = object()  # sentinel: distinguishes "absent" from stored None
 _INPUT_VALUE = object()  # sentinel: carried key whose value is the input vertex
 
 
 # ---------------------------------------------------------------------------
-# Tier 1: scalar closure compilation
+# The walk tier: scalar closure compilation
 # ---------------------------------------------------------------------------
 
 
@@ -313,7 +316,7 @@ def compile_steps(ba) -> list[list[CompiledStep]]:
 
 
 # ---------------------------------------------------------------------------
-# Tier 2: vector shape recognition
+# The fused tier: shape recognition and index-array kernels
 # ---------------------------------------------------------------------------
 
 
@@ -330,9 +333,12 @@ class VectorPlan:
     than the candidate (liveness keeps e.g. the input vertex id alive even
     when the eval handler never consults it).  ``carry_vecs`` reproduces
     that exact layout — one ``(slot, kernel)`` per carried env key in env
-    insertion order, each kernel ``f(rank, local, sl, se, v)`` returning a
-    scalar or per-edge array — so vectorized sends are indistinguishable
-    from scalar ones on the wire.
+    insertion order — so vectorized sends are indistinguishable from
+    scalar ones on the wire.  Each kernel is ``f(rank, srcl, flat, vsrc)``
+    over the fan-out rows of any number of start vertices: ``srcl`` is
+    each row's source local index, ``flat`` its arc position in the rank's
+    CSR and ``vsrc`` its source's global id; it returns a scalar or an
+    array aligned with the rows.
     """
 
     generator: str  # 'out_edges' | 'adj'
@@ -345,27 +351,26 @@ class VectorPlan:
     slot_sig: tuple  # the slot ids, in payload order (batch matching)
     payload_len: int  # 3 + 2 * len(carry_vecs)
     cand_pos: int  # index of the candidate value within the payload
-    # Source-level view of carry_vecs — [(slot, Expr | _INPUT_VALUE)] — so
-    # the native backend (:mod:`repro.patterns.native`) can re-lower each
-    # carried value to generated kernel source instead of closures.
-    carry_exprs: list
+    cand_col: int  # index of the candidate among the carried columns
+    fusion_reason: str  # fusion_report's reason, for tier reporting
 
 
 def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable]:
-    """Compile a source-local scalar expression to a per-edge numpy kernel.
+    """Compile a source-local scalar expression to an index-array kernel.
 
-    The kernel signature is ``f(rank, local, sl, se)`` where ``local`` is
-    the source vertex's local index and ``[sl, se)`` its arc range in the
-    rank's CSR; it returns a scalar or an array of length ``se - sl``.
-    Returns ``None`` when the expression is outside the vectorizable
-    fragment (non-numeric maps, reads not at the source, set operations).
+    The kernel signature is ``f(rank, srcl, flat)`` where ``srcl`` holds
+    the source vertex's local index and ``flat`` the arc's position in the
+    rank's CSR, one entry per fan-out row; it returns a scalar or an array
+    aligned with the rows.  Returns ``None`` when the expression is
+    outside the vectorizable fragment (non-numeric maps, reads not at the
+    source, set operations).
     """
     expr = unalias(expr)
     if isinstance(expr, Const):
         v = expr.value
         if not isinstance(v, (int, float, bool)):
             return None
-        return lambda rank, local, sl, se: v
+        return lambda rank, srcl, flat: v
     if isinstance(expr, PropRead):
         pm = bound.maps.get(expr.decl.name)
         if pm is None or pm.dtype is object or pm.dtype == "object":
@@ -373,7 +378,7 @@ def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable
         idx = unalias(expr.index)
         if isinstance(idx, InputVertex) and isinstance(pm, VertexPropertyMap):
             slc = pm.local_slice
-            return lambda rank, local, sl, se, _s=slc: _s(rank)[local]
+            return lambda rank, srcl, flat, _s=slc: _s(rank)[srcl]
         if (
             generator == "out_edges"
             and isinstance(idx, GenVar)
@@ -381,7 +386,7 @@ def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable
             and isinstance(pm, EdgePropertyMap)
         ):
             slc = pm.local_slice
-            return lambda rank, local, sl, se, _s=slc: _s(rank)[sl:se]
+            return lambda rank, srcl, flat, _s=slc: _s(rank)[flat]
         return None
     if isinstance(expr, BinOp):
         left = _compile_vector_expr(expr.left, bound, generator)
@@ -391,25 +396,22 @@ def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable
         op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[
             expr.op
         ]
-        return lambda rank, local, sl, se, _l=left, _r=right, _op=op: _op(
-            _l(rank, local, sl, se), _r(rank, local, sl, se)
+        return lambda rank, srcl, flat, _l=left, _r=right, _op=op: _op(
+            _l(rank, srcl, flat), _r(rank, srcl, flat)
         )
     if isinstance(expr, Call):
         args = [_compile_vector_expr(a, bound, generator) for a in expr.args]
         if any(a is None for a in args) or len(args) < 1:
             return None
         if expr.fn_name == "abs" and len(args) == 1:
-            return lambda rank, local, sl, se, _a=args[0]: np.abs(
-                _a(rank, local, sl, se)
-            )
+            return lambda rank, srcl, flat, _a=args[0]: np.abs(_a(rank, srcl, flat))
         if expr.fn_name in ("min", "max") and len(args) >= 2:
             op = np.minimum if expr.fn_name == "min" else np.maximum
 
-
-            def reduce_(rank, local, sl, se, _args=tuple(args), _op=op):
-                acc = _args[0](rank, local, sl, se)
+            def reduce_(rank, srcl, flat, _args=tuple(args), _op=op):
+                acc = _args[0](rank, srcl, flat)
                 for a in _args[1:]:
-                    acc = _op(acc, a(rank, local, sl, se))
+                    acc = _op(acc, a(rank, srcl, flat))
                 return acc
 
             return reduce_
@@ -417,85 +419,47 @@ def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable
     return None
 
 
-def recognize_vector_shape(ba) -> Optional[VectorPlan]:
-    """Match a compiled plan against the vectorizable shape, or ``None``.
+def recognize_vector_shape(ba) -> "VectorPlan | str":
+    """Match a compiled plan against the vectorizable shape.
 
-    Required structure (checked, never assumed):
+    Returns the :class:`VectorPlan`, or a string saying why the shape was
+    rejected (the action then runs the walk tier, and the reason is
+    reported with it).  Required structure (checked, never assumed):
 
-    * optimized planning mode, single condition, merged eval+modify,
-      no else-branch and no following condition group;
-    * a builtin ``out_edges`` or ``adj`` generator;
-    * all pre-eval steps are gathers at the input vertex; the eval step is
-      last and sits at the generated neighbour (``trg(e)`` or ``u``);
-    * the test is a plain comparison between a numeric vertex property at
-      the neighbour and a candidate computed from source-local values;
-    * exactly one modification: assigning that same candidate to that
-      same property — i.e. a min/max update;
+    * the merged-extremum plan shape of
+      :func:`~repro.patterns.locality.match_extremum` — optimized mode, a
+      single merged condition with no else branch, a builtin ``out_edges``
+      or ``adj`` generator, gathers only at the input vertex, and an eval
+      step at the generated neighbour comparing a candidate with the
+      neighbour's property and assigning that candidate;
+    * the eval step reads nothing but that numeric vertex property;
     * every env key the payload carries to the eval step (the candidate,
       and possibly liveness-retained extras such as the input vertex id)
-      is computable source-locally by a vector kernel.
+      is computable source-locally by a vector kernel;
+    * the gather -> evaluate pair is fusable
+      (:func:`~repro.patterns.locality.fusion_report`) — implied by the
+      two points above (every kernel expression is source-local), and
+      checked so the two recognizers cannot drift apart.
     """
     plan = ba.plan
+    shape = match_extremum(plan)
+    if isinstance(shape, str):
+        return shape
     action = plan.action
-    if plan.mode != "optimized" or len(plan.cond_plans) != 1:
-        return None
-    cp = plan.cond_plans[0]
-    if not cp.merged or cp.next_on_false is not None or cp.next_group is not None:
-        return None
     gen = action.generator
-    if gen is None or not gen.is_builtin or gen.source not in ("out_edges", "adj"):
-        return None
-    steps = cp.steps
-    eval_steps = [i for i, s in enumerate(steps) if s.kind == "eval"]
-    if len(eval_steps) != 1 or eval_steps[0] != len(steps) - 1:
-        return None
-    eval_si = eval_steps[0]
+    steps = plan.cond_plans[0].steps
+    eval_si = shape.eval_si
     eval_step = steps[eval_si]
-    input_key = action.input.key()
-    for s in steps[:eval_si]:
-        if s.kind != "gather" or unalias(s.locality).key() != input_key:
-            return None
-    # eval locality must be the generated neighbour
-    neighbour = TrgOf(gen.var) if gen.source == "out_edges" else gen.var
-    if unalias(eval_step.locality).key() != neighbour.key():
-        return None
-    # test: Compare(cand, target[t]) in either orientation
-    test = unalias(eval_step.test) if eval_step.test is not None else None
-    if not isinstance(test, Compare) or test.op not in ("<", "<=", ">", ">="):
-        return None
-    left, right = unalias(test.left), unalias(test.right)
-
-    def is_target_read(e: Expr) -> bool:
-        return (
-            isinstance(e, PropRead)
-            and unalias(e.index).key() == neighbour.key()
-        )
-
-    if is_target_read(right) and not is_target_read(left):
-        target_read, cand_expr = right, left
-        minimize = test.op in ("<", "<=")  # cand < cur  =>  keep the min
-    elif is_target_read(left) and not is_target_read(right):
-        target_read, cand_expr = left, right
-        minimize = test.op in (">", ">=")  # cur > cand  =>  keep the min
-    else:
-        return None
-    # eval-step local reads: exactly the target read
+    target_read, cand_expr = shape.target_read, unalias(shape.cand)
     if [r.key() for r in eval_step.reads] != [target_read.key()]:
-        return None
-    # single modification: target = cand
-    if len(eval_step.mods) != 1 or not isinstance(eval_step.mods[0], Assign):
-        return None
-    mod = eval_step.mods[0]
-    if (
-        mod.target.key() != target_read.key()
-        or unalias(mod.value).key() != cand_expr.key()
-    ):
-        return None
+        return "the eval step may read only the compared neighbour property"
     target_map = ba.bound.maps.get(target_read.decl.name)
-    if not isinstance(target_map, VertexPropertyMap):
-        return None
-    if target_map.dtype is object or target_map.dtype == "object":
-        return None
+    if (
+        not isinstance(target_map, VertexPropertyMap)
+        or target_map.dtype is object
+        or target_map.dtype == "object"
+    ):
+        return f"{target_read.decl.name!r} must be a numeric vertex property"
     # Reconstruct the carried payload layout exactly as the scalar walk
     # packs it: env insertion order (generator base keys, then each gather
     # step's reads / routing / folds), filtered to the eval step's live-in.
@@ -508,55 +472,51 @@ def recognize_vector_shape(ba) -> Optional[VectorPlan]:
         ordered += [sk, tk]
         key_expr[sk] = _INPUT_VALUE  # src of a generated out-arc IS the input
     for s in steps[:eval_si]:
-        for r in s.reads:
-            ordered.append(r.key())
-            key_expr.setdefault(r.key(), r)
-        for r in s.routing:
-            ordered.append(r.key())
-            key_expr.setdefault(r.key(), r)
-        for f in s.folds:
-            ordered.append(f.key())
-            key_expr.setdefault(f.key(), f)
+        for e in list(s.reads) + list(s.routing) + list(s.folds):
+            ordered.append(e.key())
+            key_expr.setdefault(e.key(), e)
     seen: set = set()
     ordered = [k for k in ordered if not (k in seen or seen.add(k))]
     carried = (eval_step.live_in - {unalias(eval_step.locality).key()}) & set(ordered)
     payload_keys = [k for k in ordered if k in carried]
     if cand_key not in carried:
-        return None
+        return "the candidate is not carried to the eval step"
     # Every carried key must have a source-local vector kernel.
     carry_vecs: list = []
-    carry_exprs: list = []
-    slot_sig: list = []
-    cand_pos = -1
+    cand_col = -1
     for i, k in enumerate(payload_keys):
         src_e = key_expr.get(k)
         if src_e is _INPUT_VALUE:
-            kern = lambda rank, local, sl, se, v: v  # noqa: E731
-        elif isinstance(src_e, Expr):
-            inner = _compile_vector_expr(src_e, ba.bound, gen.source)
-            if inner is None:
-                return None
-            kern = (
-                lambda _f: lambda rank, local, sl, se, v: _f(rank, local, sl, se)
-            )(inner)
+            kern = lambda rank, srcl, flat, vsrc: vsrc  # noqa: E731
         else:
-            return None
-        slot = ba._slot_of[k]
-        carry_vecs.append((slot, kern))
-        carry_exprs.append((slot, src_e))
-        slot_sig.append(slot)
+            inner = (
+                _compile_vector_expr(src_e, ba.bound, gen.source)
+                if isinstance(src_e, Expr)
+                else None
+            )
+            if inner is None:
+                what = src_e.pretty() if isinstance(src_e, Expr) else repr(k)
+                return f"carried value {what} has no source-local numeric kernel"
+            kern = (
+                lambda _f: lambda rank, srcl, flat, vsrc: _f(rank, srcl, flat)
+            )(inner)
+        carry_vecs.append((ba._slot_of[k], kern))
         if k == cand_key:
-            cand_pos = 3 + 2 * i + 1
+            cand_col = i
+    fusion = fusion_report(plan)
+    if not fusion.fusable:
+        return fusion.reason
     return VectorPlan(
         generator=gen.source,
         eval_si=eval_si,
         cand_key=cand_key,
         target_map=target_map,
-        minimize=minimize,
+        minimize=shape.minimize,
         dependent=target_read.decl.name in plan.dependent_props,
         carry_vecs=carry_vecs,
-        slot_sig=tuple(slot_sig),
+        slot_sig=tuple(slot for slot, _ in carry_vecs),
         payload_len=3 + 2 * len(carry_vecs),
-        cand_pos=cand_pos,
-        carry_exprs=carry_exprs,
+        cand_pos=3 + 2 * cand_col + 1,
+        cand_col=cand_col,
+        fusion_reason=fusion.reason,
     )

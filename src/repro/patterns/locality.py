@@ -208,14 +208,14 @@ class LocalityTree:
 
 
 # ---------------------------------------------------------------------------
-# Fusion legality (native fast path)
+# Fusion legality (fused fast tier)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FusionReport:
     """Whether a plan's gather -> evaluate pair may be fused into one
-    kernel (``fast_path="native"``), and why not when it may not.
+    fan-out (``fast_path="vector"``), and why not when it may not.
 
     Fusion executes the generator fan-out *and* the eval-step's
     compare-and-assign in a single kernel invocation at the source rank
@@ -275,40 +275,52 @@ def _source_local(expr: Expr, generator_source: str) -> bool:
     return False
 
 
-def fusion_report(plan) -> FusionReport:
-    """Structural fusion legality for an :class:`~repro.patterns.planner.ActionPlan`.
+@dataclass(frozen=True)
+class ExtremumShape:
+    """A plan whose single eval step is a merged extremum update at the
+    generated neighbour: ``target[t] = cand`` when ``cand`` is better."""
 
-    This is the planner-level half of the decision (shape only); the
-    native backend additionally requires the bound property maps to be
-    numeric (checked at bind time by the vector-shape recognizer).
+    eval_si: int  # index of the eval step (last in the chain)
+    neighbour: Expr  # ``trg(e)`` or ``u``
+    target_read: PropRead  # the compared/assigned neighbour property
+    cand: Expr  # the candidate expression
+    minimize: bool
+
+
+def match_extremum(plan) -> "ExtremumShape | str":
+    """Match the merged-extremum shape; returns it, or why not (a string).
+
+    Shared by :func:`fusion_report` and the fused tier's shape recognizer
+    (:func:`repro.patterns.fastpath.recognize_vector_shape`): optimized
+    mode, one merged condition with no else branch, a builtin
+    ``out_edges``/``adj`` generator, gathers only at the input vertex, and
+    an eval step at the neighbour testing ``cand`` against ``target[t]``
+    and assigning exactly that candidate.
     """
-
-    def no(reason: str) -> FusionReport:
-        return FusionReport(False, reason)
-
     if plan.mode != "optimized" or len(plan.cond_plans) != 1:
-        return no("needs optimized mode with a single condition")
+        return "needs optimized mode with a single condition"
     cp = plan.cond_plans[0]
     if not cp.merged or cp.next_on_false is not None or cp.next_group is not None:
-        return no("eval and modify must merge with no else branch")
+        return "eval and modify must merge with no else branch"
     gen = plan.action.generator
     if gen is None or not gen.is_builtin or gen.source not in ("out_edges", "adj"):
-        return no("needs a builtin out_edges/adj generator")
+        return "needs a builtin out_edges/adj generator"
     steps = cp.steps
     eval_steps = [i for i, s in enumerate(steps) if s.kind == "eval"]
     if len(eval_steps) != 1 or eval_steps[0] != len(steps) - 1:
-        return no("needs exactly one eval step, last")
+        return "needs exactly one eval step, last"
+    eval_si = eval_steps[0]
     input_key = plan.action.input.key()
-    for s in steps[: eval_steps[0]]:
+    for s in steps[:eval_si]:
         if s.kind != "gather" or unalias(s.locality).key() != input_key:
-            return no("pre-eval gathers must all run at the input vertex")
-    eval_step = steps[eval_steps[0]]
+            return "pre-eval gathers must all run at the input vertex"
+    eval_step = steps[eval_si]
     neighbour = TrgOf(gen.var) if gen.source == "out_edges" else gen.var
     if unalias(eval_step.locality).key() != neighbour.key():
-        return no("eval must run at the generated neighbour")
+        return "eval must run at the generated neighbour"
     test = unalias(eval_step.test) if eval_step.test is not None else None
     if not isinstance(test, Compare) or test.op not in ("<", "<=", ">", ">="):
-        return no("test must be an ordering comparison")
+        return "test must be an ordering comparison"
     left, right = unalias(test.left), unalias(test.right)
 
     def is_target_read(e: Expr) -> bool:
@@ -316,21 +328,36 @@ def fusion_report(plan) -> FusionReport:
 
     if is_target_read(right) and not is_target_read(left):
         target_read, cand = right, left
+        minimize = test.op in ("<", "<=")  # cand < cur  =>  keep the min
     elif is_target_read(left) and not is_target_read(right):
         target_read, cand = left, right
+        minimize = test.op in (">", ">=")  # cur > cand  =>  keep the min
     else:
-        return no("test must compare a neighbour property against a candidate")
-    if not _source_local(cand, gen.source):
-        return no("candidate must be computable at the input vertex")
+        return "test must compare a neighbour property against a candidate"
     mods = eval_step.mods
     if len(mods) != 1 or type(mods[0]).__name__ != "Assign":
-        return no("needs a single assignment modification")
+        return "needs a single assignment modification"
     mod = mods[0]
     if (
         mod.target.key() != target_read.key()
         or unalias(mod.value).key() != unalias(cand).key()
     ):
-        return no("assignment must install the compared candidate (extremum)")
+        return "assignment must install the compared candidate (extremum)"
+    return ExtremumShape(eval_si, neighbour, target_read, cand, minimize)
+
+
+def fusion_report(plan) -> FusionReport:
+    """Structural fusion legality for an :class:`~repro.patterns.planner.ActionPlan`.
+
+    This is the planner-level half of the decision (shape only); the
+    fused tier additionally requires the bound property maps to be
+    numeric (checked at bind time by the vector-shape recognizer).
+    """
+    shape = match_extremum(plan)
+    if isinstance(shape, str):
+        return FusionReport(False, shape)
+    if not _source_local(shape.cand, plan.action.generator.source):
+        return FusionReport(False, "candidate must be computable at the input vertex")
     return FusionReport(True, "source-local candidate + confluent extremum update")
 
 

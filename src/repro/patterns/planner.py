@@ -173,10 +173,10 @@ class ActionPlan:
         """Worst-case messages for one straight-line run taking every
         condition's true branch (distinct-locality assumption).
 
-        With ``fused=True``, count as the native fast path executes when
+        With ``fused=True``, count as the fused tier executes when
         :func:`~repro.patterns.locality.fusion_report` proves the
         gather -> evaluate pair fusable: the evaluate hop is performed
-        inline by the fused kernel, so one message round disappears from
+        inline by the fused fan-out, so one message round disappears from
         the straight-line count.
         """
         base = sum(cp.static_message_count() for cp in self.cond_plans)

@@ -53,7 +53,7 @@ class CoalescingLayer(Layer):
     def send_rows(self, src: int, dest: int, rows: list) -> None:
         """Bulk-append pre-admitted payload rows for one destination.
 
-        Used by the native fast path for rank-remote fan-out rows.  The
+        Used by the fused fast tier for rank-remote fan-out rows.  The
         buffer fills and flushes at exactly the boundaries a sequence of
         :meth:`send` calls would produce, so logical send counts, flush
         counts and envelope contents are identical to the per-row path —

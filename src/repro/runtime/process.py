@@ -74,7 +74,7 @@ from .chaos import derive_rng
 from .message import Envelope
 from .reliable import AckEnvelope
 from .health import HealthStats
-from .stats import ChaosStats, EpochStats, NativeStats, TypeStats
+from .stats import ChaosStats, EpochStats, FusionStats, TypeStats
 from .termination import BLACK, FourCounterDetector, SafraDetector
 from .transport import HandlerContext, Transport
 from .wire import WireCodec, WireStats
@@ -734,12 +734,12 @@ class ProcessTransport(Transport):
         worker_chaos = ChaosStats(**blob["stats"]["chaos"])
         for f in ChaosStats.__dataclass_fields__:
             setattr(st.chaos, f, getattr(st.chaos, f) + getattr(worker_chaos, f))
-        # -- native-kernel counters (shipped outside checkpoint_state so
-        # the recovery differential never sees them) -------------------
-        for f, v in blob.get("native", {}).items():
-            setattr(st.native, f, getattr(st.native, f) + v)
+        # -- fusion counters (shipped outside checkpoint_state so the
+        # recovery differential never sees them) -----------------------
+        for f, v in blob.get("fusion", {}).items():
+            setattr(st.fusion, f, getattr(st.fusion, f) + v)
         # -- health counters + per-rank load accounting (additive, like
-        # native; the gauge fields are parent-computed, so workers always
+        # fusion; the gauge fields are parent-computed, so workers always
         # ship zeros there and the additive fold is exact) --------------
         for f, v in blob.get("health", {}).items():
             setattr(st.health, f, getattr(st.health, f) + v)
@@ -901,10 +901,10 @@ class ProcessTransport(Transport):
         st._current = EpochStats(epoch_index=0)
         st.total = EpochStats(epoch_index=-1)
         st.chaos = ChaosStats()
-        # Native-kernel counters restart at zero too: the fork inherited
-        # the parent's bind-time compile counts, which the parent already
+        # Fusion counters restart at zero too: the fork inherited the
+        # parent's bind-time tier counts, which the parent already
         # reports; this worker ships only what it does itself.
-        st.native = NativeStats()
+        st.fusion = FusionStats()
         # Health/flight observability: fresh worker-side accounting (the
         # fork inherited parent counters already reported parent-side);
         # sequence numbers are rank-namespaced like telemetry span ids,
@@ -1029,9 +1029,9 @@ class ProcessTransport(Transport):
             "stats": machine.stats.checkpoint_state(),
             "actions": {},
             "objmaps": {},
-            "native": {
-                f: getattr(machine.stats.native, f)
-                for f in NativeStats.__dataclass_fields__
+            "fusion": {
+                f: getattr(machine.stats.fusion, f)
+                for f in FusionStats.__dataclass_fields__
             },
             "health": {
                 f: getattr(machine.stats.health, f)
@@ -1072,7 +1072,7 @@ class ProcessTransport(Transport):
         st._current = EpochStats(epoch_index=0)
         st.total = EpochStats(epoch_index=-1)
         st.chaos = ChaosStats()
-        st.native = NativeStats()
+        st.fusion = FusionStats()
         st.health = HealthStats()
         machine.health.reset_after_fork()
         # Like telemetry: sequence numbers keep advancing, only the

@@ -138,26 +138,23 @@ class CheckpointStats:
 
 
 @dataclass
-class NativeStats:
-    """Native-tier kernel counters (``fast_path="native"``).
+class FusionStats:
+    """Fast-path counters: resolved action tiers and fused fan-outs.
 
-    These describe the codegen machinery — kernels generated, cache
-    traffic, fused rounds — not the algorithm, so like
-    :class:`CheckpointStats` they are excluded from
-    :meth:`StatsRegistry.summary` and :meth:`StatsRegistry.checkpoint_state`:
-    a run must report the same logical accounting whether its kernels came
-    from a compile, the in-memory cache, or the on-disk cache.  Exported
-    as ``repro_native_*`` by the reflective Prometheus path.
+    These describe *how* the fast tier executed — which tier each bound
+    action resolved to, how many rank-local edges fusion applied without
+    a message — not the algorithm, so like :class:`CheckpointStats` they
+    are excluded from :meth:`StatsRegistry.summary` and
+    :meth:`StatsRegistry.checkpoint_state`.  Exported as ``repro_fusion_*``
+    by the reflective Prometheus path.
     """
 
-    kernel_compiles: int = 0  # kernel sources generated (cache misses)
-    kernel_cache_hits: int = 0  # in-memory kernel cache hits
-    disk_cache_hits: int = 0  # kernels loaded from the on-disk cache
-    fused_rounds: int = 0  # fused gather->evaluate kernel invocations
+    fused_rounds: int = 0  # fused gather->evaluate fan-out invocations
     fused_edges: int = 0  # rank-local edges applied without a message
-    remote_rows: int = 0  # rows bulk-appended into coalescing buffers
-    fallbacks: int = 0  # actions that fell back to the vector/compiled path
-    jit_seconds: float = 0.0  # wall time spent compiling (JIT backend)
+    remote_rows: int = 0  # rank-remote rows shipped after dominated-row dedup
+    actions_fused: int = 0  # bound actions resolved to the fused tier
+    actions_walk: int = 0  # ... to the compiled/interpreted walk
+    fallbacks: int = 0  # vector-machine actions whose shape the tier rejected
 
 
 @dataclass
@@ -273,7 +270,7 @@ class StatsRegistry:
         self.total: EpochStats = EpochStats(epoch_index=-1)
         self.chaos = ChaosStats()
         self.checkpoint = CheckpointStats()
-        self.native = NativeStats()
+        self.fusion = FusionStats()
         self.mutations = MutationStats()
         self.health = HealthStats()
         self.service = ServiceStats()
@@ -389,10 +386,16 @@ class StatsRegistry:
         with self.guard:
             setattr(self.checkpoint, field, getattr(self.checkpoint, field) + n)
 
-    def count_native(self, field: str, n=1) -> None:
-        """Bump one :class:`NativeStats` counter (native fast path only)."""
+    def count_fusion(self, field: str, n=1) -> None:
+        """Bump one :class:`FusionStats` counter."""
         with self.guard:
-            setattr(self.native, field, getattr(self.native, field) + n)
+            setattr(self.fusion, field, getattr(self.fusion, field) + n)
+
+    @property
+    def native(self) -> FusionStats:
+        """Former name of :attr:`fusion`, still read by benchmark records
+        (``stats.native.fallbacks``)."""
+        return self.fusion
 
     def count_health(self, field: str, n=1) -> None:
         """Bump one :class:`~repro.runtime.health.HealthStats` counter."""
@@ -558,7 +561,6 @@ class StatsRegistry:
             ("edge skew", f"{h.edge_skew:.3f}"),
             ("property map bytes", h.property_map_bytes),
             ("shared memory bytes", h.shared_memory_bytes),
-            ("kernel cache bytes", h.kernel_cache_bytes),
         ]
         width = max(len(n) for n, _ in rows)
         return "\n".join(f"{n:<{width}}  {v:>12}" for n, v in rows)
@@ -602,18 +604,16 @@ class StatsRegistry:
         width = max(len(n) for n, _ in rows)
         return "\n".join(f"{n:<{width}}  {v:>10}" for n, v in rows)
 
-    def native_report(self) -> str:
-        """One-line-per-counter native kernel summary."""
-        n = self.native
+    def tier_report(self) -> str:
+        """One-line-per-counter summary of resolved tiers and fusion."""
+        f = self.fusion
         rows: list[tuple[str, object]] = [
-            ("kernel compiles", n.kernel_compiles),
-            ("kernel cache hits", n.kernel_cache_hits),
-            ("disk cache hits", n.disk_cache_hits),
-            ("fused rounds", n.fused_rounds),
-            ("fused edges", n.fused_edges),
-            ("remote rows", n.remote_rows),
-            ("fallbacks", n.fallbacks),
-            ("jit seconds", f"{n.jit_seconds:.3f}"),
+            ("fused actions", f.actions_fused),
+            ("walk actions", f.actions_walk),
+            ("fallbacks", f.fallbacks),
+            ("fused rounds", f.fused_rounds),
+            ("fused edges", f.fused_edges),
+            ("remote rows", f.remote_rows),
         ]
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {v:>10}" for name, v in rows)
@@ -672,9 +672,9 @@ class StatsRegistry:
             lines.append("")
             lines.append("checkpoint/recovery")
             lines.append(self.checkpoint_report())
-        nat = self.native
-        if nat.kernel_compiles or nat.kernel_cache_hits or nat.fallbacks:
+        f = self.fusion
+        if f.actions_fused or f.fallbacks:
             lines.append("")
-            lines.append("native kernels")
-            lines.append(self.native_report())
+            lines.append("fast tiers")
+            lines.append(self.tier_report())
         return "\n".join(lines)

@@ -121,7 +121,7 @@ class WireBatch:
     def columns(self, *indices: int) -> tuple:
         """Several columns at once as ndarrays (constants broadcast).
 
-        The frame views feed the vector/native batch kernels directly —
+        The frame views feed the fused tier's batch kernels directly —
         per-row tuples are never materialized on this path.
         """
         return tuple(self.column(i) for i in indices)

@@ -77,11 +77,9 @@ class MultiSourceRunner:
             address_of=lambda p: int(p[0]),
             coalescing=coalescing,
         )
-        # Mirror the pattern executor: the vectorized delivery path is a
-        # fast-path feature, and "native" machines get the same numpy
-        # scatter (the schema here is one fixed-width extremum row — the
-        # generated-kernel tier would lower to the identical minimum.at).
-        if machine.fast_path in ("vector", "native"):
+        # Mirror the pattern executor: vectorized delivery is the vector
+        # fast path's.
+        if machine.fast_path == "vector":
             self.mtype.batch_handler = self._batch_handler
 
     # -- handlers -----------------------------------------------------------

@@ -112,19 +112,20 @@ class TestPrometheus:
             assert f"repro_chaos_{f.name} " in text, f.name
 
     def test_reflects_native_fields(self):
-        """Every NativeStats counter exports as repro_native_* without
-        touching the exporter (dataclass reflection, like TypeStats)."""
+        """Every FusionStats counter (the fast tier's, formerly the native
+        tier's) exports as repro_fusion_* without touching the exporter
+        (dataclass reflection, like TypeStats)."""
         import dataclasses
 
-        from repro.runtime.stats import NativeStats
+        from repro.runtime.stats import FusionStats
 
         m = chain_machine(telemetry="off")
         text = to_prometheus(m)
-        for f in dataclasses.fields(NativeStats):
-            assert f"repro_native_{f.name} " in text, f.name
+        for f in dataclasses.fields(FusionStats):
+            assert f"repro_fusion_{f.name} " in text, f.name
 
     def test_native_counters_have_live_values(self, tmp_path):
-        """A native run's counters land in the scrape with real values."""
+        """A fused run's counters land in the scrape with real values."""
         import math
 
         from repro.algorithms.sssp import bind_sssp
@@ -133,7 +134,7 @@ class TestPrometheus:
         s, t = erdos_renyi(30, 120, seed=3)
         w = uniform_weights(120, 1.0, 10.0, seed=4)
         g, wbg = build_graph(30, list(zip(s, t)), weights=w, n_ranks=2)
-        m = Machine(2, fast_path="native", native_backend="interp")
+        m = Machine(2, fast_path="vector")
         bp = bind_sssp(m, g, wbg)
         dist = bp.map("dist")
         dist.fill(math.inf)
@@ -142,10 +143,11 @@ class TestPrometheus:
         relax.work = lambda ctx, v: relax.invoke_from(ctx, v)
         with m.epoch() as ep:
             relax.invoke(ep, 0)
-        text = write_prometheus(m, str(tmp_path / "native.prom"))
+        text = write_prometheus(m, str(tmp_path / "fusion.prom"))
         samples, errors = parse_prometheus(text)
         assert errors == []
-        assert samples[("repro_native_fused_rounds", frozenset())] > 0
+        assert samples[("repro_fusion_fused_rounds", frozenset())] > 0
+        assert samples[("repro_fusion_actions_fused", frozenset())] == 1
 
     def test_lint_catches_problems(self):
         bad = (

@@ -48,7 +48,9 @@ from repro.graph import MutationBatch, build_graph, erdos_renyi, uniform_weights
 from repro.patterns import bind
 from repro.props.property_map import weight_map_from_array
 from repro.runtime.chaos import ChaosConfig, FaultEvent
-from repro.runtime.machine import FAST_PATHS, Machine
+from repro.runtime.machine import Machine
+
+from ..modes import MODES, mode_machine
 from repro.runtime.recovery import run_with_recovery
 from repro.runtime.reliable import ReliableConfig
 from repro.runtime.sim import ROUTINGS, SCHEDULES
@@ -182,7 +184,7 @@ class RunConfig:
     workload: str = "sssp"
     schedule: str = "round_robin"
     routing: str = "direct"
-    fast_path: str = "compiled"
+    fast_path: str = "native"  # a tests/modes.py label; the library default
     detector: str = "oracle"
     machine_seed: int = 0
     graph_seed: int = 3
@@ -201,12 +203,12 @@ def run_config(
     reliable=None,
 ) -> dict[str, np.ndarray]:
     """Execute one configuration; returns the workload's final arrays."""
-    machine = Machine(
+    machine = mode_machine(
+        cfg.fast_path,
         n_ranks=N_RANKS,
         schedule=cfg.schedule,
         seed=cfg.machine_seed,
         routing=cfg.routing,
-        fast_path=cfg.fast_path,
         detector=cfg.detector,
         chaos=chaos,
         reliable=reliable,
@@ -294,12 +296,12 @@ def run_config_recover(
     Returns the workload result *and* the machine so callers can assert
     on recovery accounting (``machine.stats.checkpoint``).
     """
-    machine = Machine(
+    machine = mode_machine(
+        cfg.fast_path,
         n_ranks=N_RANKS,
         schedule=cfg.schedule,
         seed=cfg.machine_seed,
         routing=cfg.routing,
-        fast_path=cfg.fast_path,
         detector=cfg.detector,
         chaos=chaos,
         reliable=reliable,
@@ -352,7 +354,7 @@ def sweep_recovery(
     chaos_seeds: Iterable[int] = tuple(range(8)),
     workloads: Sequence[str] = ("sssp_delta",),
     schedules: Sequence[str] = ("round_robin", "random"),
-    fast_paths: Sequence[str] = FAST_PATHS,
+    fast_paths: Sequence[str] = MODES,
 ) -> list[tuple[RunConfig, ChaosConfig]]:
     """Enumerate crash+recover combos (smaller grid, more chaos seeds)."""
     combos: list[tuple[RunConfig, ChaosConfig]] = []
@@ -370,7 +372,7 @@ def sweep(
     workloads: Sequence[str] = ("sssp", "accumulate"),
     schedules: Sequence[str] = SCHEDULES,
     routings: Sequence[str] = ROUTINGS,
-    fast_paths: Sequence[str] = FAST_PATHS,
+    fast_paths: Sequence[str] = MODES,
     chaos_maker: Callable[[int], ChaosConfig] = default_chaos,
 ) -> list[tuple[RunConfig, ChaosConfig]]:
     """Enumerate (schedule × routing × fast_path × chaos seed) combos."""
@@ -422,12 +424,12 @@ def explore(
 
 def _run_traced(cfg, chaos, reliable, sink: list) -> dict:
     """run_config, but capture the chaos trace even if the run fails."""
-    machine = Machine(
+    machine = mode_machine(
+        cfg.fast_path,
         n_ranks=N_RANKS,
         schedule=cfg.schedule,
         seed=cfg.machine_seed,
         routing=cfg.routing,
-        fast_path=cfg.fast_path,
         detector=cfg.detector,
         chaos=chaos,
         reliable=reliable,
@@ -544,7 +546,7 @@ class MutationConfig:
     """One point of the (algorithm × fast_path × transport × seed) space."""
 
     algorithm: str = "sssp"
-    fast_path: str = "compiled"
+    fast_path: str = "native"  # a tests/modes.py label; the library default
     transport: str = "sim"
     mutation_seed: int = 0
     graph_seed: int = 3
@@ -703,10 +705,10 @@ def run_mutation_config(
             reorder=0.10, reorder_window=4,
         )
         reliable = True
-    machine = Machine(
+    machine = mode_machine(
+        cfg.fast_path,
         N_RANKS,
         transport=cfg.transport,
-        fast_path=cfg.fast_path,
         chaos=chaos,
         reliable=reliable,
     )
@@ -722,7 +724,7 @@ def run_mutation_config(
             delta = machine.apply_mutations(ops_to_batch(ops), weight_map=wm)
             rep = sssp_delta_restart(machine, bp, delta, 0)
             inc = {"dist": rep.values}
-            m2 = Machine(N_RANKS, fast_path=cfg.fast_path)
+            m2 = mode_machine(cfg.fast_path, N_RANKS)
             scratch = {"dist": sssp_fixed_point(m2, g, wm, 0)}
         elif cfg.algorithm == "bfs":
             g, _ = build_graph(n, edges, n_ranks=N_RANKS, partition=cfg.partition)
@@ -733,7 +735,7 @@ def run_mutation_config(
             delta = machine.apply_mutations(ops_to_batch(ops))
             rep = bfs_delta_restart(machine, bp, delta, 0)
             inc = {"depth": rep.values}
-            m2 = Machine(N_RANKS, fast_path=cfg.fast_path)
+            m2 = mode_machine(cfg.fast_path, N_RANKS)
             scratch = {"depth": bfs_fixed_point(m2, g, 0)}
         elif cfg.algorithm == "cc":
             g, _ = build_graph(
@@ -748,7 +750,7 @@ def run_mutation_config(
             delta = machine.apply_mutations(ops_to_batch(ops, undirected=True))
             rep = cc_delta_restart(machine, bp, delta)
             inc = {"comp": rep.values}
-            m2 = Machine(N_RANKS, fast_path=cfg.fast_path)
+            m2 = mode_machine(cfg.fast_path, N_RANKS)
             scratch = {"comp": cc_label_propagation(m2, g)}
         elif cfg.algorithm == "pagerank":
             g, _ = build_graph(n, edges, n_ranks=N_RANKS, partition=cfg.partition)
@@ -758,7 +760,7 @@ def run_mutation_config(
             delta = machine.apply_mutations(ops_to_batch(ops))
             rep = ipr.recompute(delta)
             inc = {"rank": rep.values}
-            m2 = Machine(N_RANKS, fast_path=cfg.fast_path)
+            m2 = mode_machine(cfg.fast_path, N_RANKS)
             scratch = {
                 "rank": pagerank(m2, g, damping=0.5, iterations=10, tol=None)
             }
@@ -790,7 +792,7 @@ class MutationFailure:
 def sweep_mutations(
     mutation_seeds: Iterable[int] = tuple(range(4)),
     algorithms: Sequence[str] = MUTATION_ALGOS,
-    fast_paths: Sequence[str] = FAST_PATHS,
+    fast_paths: Sequence[str] = MODES,
     transports: Sequence[str] = ("sim",),
     chaos_seeds: Sequence[int] = (-1,),
 ) -> list[MutationConfig]:

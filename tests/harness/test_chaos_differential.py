@@ -37,15 +37,16 @@ from repro.algorithms import (
 from repro.graph import build_graph, erdos_renyi, uniform_weights
 from repro.runtime import ChaosConfig
 
-MODES = ("off", "compiled", "vector", "native")
+from ..modes import MODES, mode_machine
+
 SEEDS = tuple(range(25))  # >= 25 chaos seeds (acceptance floor)
 
 CHAOS_KW = dict(drop=0.12, duplicate=0.10, reorder=0.10, reorder_window=4)
 
 
 def chaos_machine(seed: int, mode: str) -> Machine:
-    return Machine(
-        4, fast_path=mode, chaos=ChaosConfig(seed=seed, **CHAOS_KW), reliable=True
+    return mode_machine(
+        mode, 4, chaos=ChaosConfig(seed=seed, **CHAOS_KW), reliable=True
     )
 
 
@@ -77,7 +78,7 @@ class TestSSSPUnderChaos:
         g, wg = er(weights=True)
         ref = oracle(
             ("sssp", mode),
-            lambda: sssp_fixed_point(Machine(4, fast_path=mode), g, wg, 0),
+            lambda: sssp_fixed_point(mode_machine(mode, 4), g, wg, 0),
         )
         got = sssp_fixed_point(chaos_machine(seed, mode), g, wg, 0)
         assert np.array_equal(ref, got)
@@ -89,7 +90,7 @@ class TestBFSUnderChaos:
     def test_bit_identical(self, mode, seed):
         g, _ = er()
         ref = oracle(
-            ("bfs", mode), lambda: bfs_fixed_point(Machine(4, fast_path=mode), g, 0)
+            ("bfs", mode), lambda: bfs_fixed_point(mode_machine(mode, 4), g, 0)
         )
         got = bfs_fixed_point(chaos_machine(seed, mode), g, 0)
         assert np.array_equal(ref, got)
@@ -102,7 +103,7 @@ class TestCCUnderChaos:
         g, _ = er(n=30, m=45, undirected=True)
         ref = oracle(
             ("cc", mode),
-            lambda: cc_label_propagation(Machine(4, fast_path=mode), g),
+            lambda: cc_label_propagation(mode_machine(mode, 4), g),
         )
         got = cc_label_propagation(chaos_machine(seed, mode), g)
         assert np.array_equal(ref, got)
@@ -129,7 +130,7 @@ class TestPageRankUnderChaos:
         ref = oracle(
             ("pr", mode),
             lambda: pagerank(
-                Machine(4, fast_path=mode), g, damping=0.5, iterations=10, tol=None
+                mode_machine(mode, 4), g, damping=0.5, iterations=10, tol=None
             ),
         )
         got = pagerank(
@@ -150,10 +151,10 @@ class TestProcessTransportUnderChaos:
     PROC_SEEDS = SEEDS[:5]  # >= 5 seeds (acceptance floor for process)
 
     def proc_chaos_machine(self, seed: int, mode: str) -> Machine:
-        return Machine(
+        return mode_machine(
+            mode,
             4,
             transport="process",
-            fast_path=mode,
             chaos=ChaosConfig(seed=seed, **CHAOS_KW),
             reliable=True,
         )
@@ -164,7 +165,7 @@ class TestProcessTransportUnderChaos:
         g, wg = er(weights=True)
         ref = oracle(
             ("sssp", mode),
-            lambda: sssp_fixed_point(Machine(4, fast_path=mode), g, wg, 0),
+            lambda: sssp_fixed_point(mode_machine(mode, 4), g, wg, 0),
         )
         m = self.proc_chaos_machine(seed, mode)
         try:

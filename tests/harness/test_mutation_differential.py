@@ -44,8 +44,8 @@ from .schedule_explorer import (
     run_mutation_config,
     sweep_mutations,
 )
+from ..modes import MODES
 
-MODES = ("off", "compiled", "vector", "native")
 SEEDS = tuple(range(25))  # 25 seeds x 4 modes = 100 batches per algorithm
 
 

@@ -17,9 +17,9 @@ from repro.graph import MutationBatch, build_graph, erdos_renyi, uniform_weights
 from repro.props.property_map import weight_map_from_array
 from repro.runtime import ChaosConfig, Machine, run_with_recovery
 from repro.runtime.checkpoint import CheckpointError
-from repro.runtime.machine import FAST_PATHS
 from repro.strategies import sssp_delta_restart
 
+from ..modes import MODES, mode_machine
 from .schedule_explorer import (
     N_RANKS,
     RunConfig,
@@ -55,7 +55,7 @@ def _summary(machine) -> dict:
 class TestRecoveryDifferential:
     """sim transport × fast paths × chaos seeds, full adversary + crash."""
 
-    @pytest.mark.parametrize("fast_path", FAST_PATHS)
+    @pytest.mark.parametrize("fast_path", MODES)
     @pytest.mark.parametrize("seed", SEEDS[:5])
     def test_delta_stepping(self, fast_path, seed):
         cfg = RunConfig(workload="sssp_delta", fast_path=fast_path)
@@ -89,12 +89,12 @@ class TestRecoveryDifferential:
         so even the message counters line up with the crash-free run."""
         cfg = RunConfig(workload="sssp_delta", fast_path="vector")
         chaos = crash_chaos(seed)
-        m0 = Machine(
+        m0 = mode_machine(
+            cfg.fast_path,
             n_ranks=N_RANKS,
             schedule=cfg.schedule,
             seed=cfg.machine_seed,
             routing=cfg.routing,
-            fast_path=cfg.fast_path,
             detector=cfg.detector,
             chaos=uncrashed(chaos),
         )
@@ -225,7 +225,9 @@ class TestMutationRecovery:
     graph back to the checkpointed version, and only then is it applied.
     """
 
-    def _run(self, machine):
+    def _run(self, machine, ticks=None):
+        """``ticks``, when given, receives the chaos clock at
+        ``apply_mutations`` and at restart convergence."""
         s, t = erdos_renyi(40, 110, seed=21)
         w = uniform_weights(110, 1.0, 8.0, seed=22)
         g, wbg = build_graph(
@@ -240,8 +242,12 @@ class TestMutationRecovery:
         batch.delete_edge(*arcs[5])
         batch.insert_edge(7, 31, weight=1.5)
         batch.update_weight(*arcs[20], 2.0)
+        if ticks is not None:
+            ticks.append(machine.chaos.tick)
         delta = machine.apply_mutations(batch, weight_map=wm)
         rep = sssp_delta_restart(machine, bp, delta, 0)
+        if ticks is not None:
+            ticks.append(machine.chaos.tick)
         return rep.values
 
     @pytest.mark.parametrize("seed", tuple(range(6)))
@@ -264,13 +270,20 @@ class TestMutationRecovery:
         assert crashed >= 3, f"only {crashed}/6 seeds crashed"
 
     def test_scripted_crash_inside_delta_restart(self):
-        """Tick 1210 lands between apply_mutations (~1201) and restart
-        convergence (~1226) on this seeded instance: the crash destroys
-        the half-relaxed incremental state specifically."""
+        """The crash tick is the midpoint between apply_mutations and
+        restart convergence on a crash-free run with the same (fault-free)
+        chaos clock: the crash destroys the half-relaxed incremental state
+        specifically, whatever the tier's tick counts."""
         m0 = Machine(4)
         base = self._run(m0)
+        ticks: list = []
+        self._run(Machine(4, chaos=ChaosConfig(), checkpoint=True), ticks)
+        applied, converged = ticks
+        assert converged - applied >= 2, ticks
         m1 = Machine(
-            4, chaos=ChaosConfig(crash_rank=1, crash_tick=1210), checkpoint=True
+            4,
+            chaos=ChaosConfig(crash_rank=1, crash_tick=(applied + converged) // 2),
+            checkpoint=True,
         )
         got = run_with_recovery(m1, lambda: self._run(m1))
         assert m1.stats.chaos.crashes == 1

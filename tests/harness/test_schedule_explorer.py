@@ -21,7 +21,7 @@ import pytest
 from repro.runtime import ChaosConfig, ReliableConfig
 
 from tests.harness.schedule_explorer import (
-    FAST_PATHS,
+    MODES,
     RunConfig,
     Shrinker,
     _run_traced,
@@ -61,7 +61,7 @@ class TestSweep:
         fast_paths = {c[0].fast_path for c in combos}
         assert len(schedules) >= 4
         assert len(routings) >= 2
-        assert fast_paths == set(FAST_PATHS)
+        assert fast_paths == set(MODES)
 
     def test_chaos_actually_injects_faults(self):
         cfg = RunConfig(

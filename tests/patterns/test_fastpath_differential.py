@@ -1,7 +1,8 @@
 """Differential tests for the execution fast paths.
 
-The interpreted walk (``fast_path="off"``) is the correctness oracle; the
-compiled walk and the vectorized batch path must produce **bit-identical
+The interpreted walk (``fast_path="off"``) is the correctness oracle; every
+tier of the vector fast path — the compiled walk, the unfused batch
+kernels and the fused default (``tests/modes.py``) — must produce **bit-identical
 property maps** and the **same dependent-vertex sets** on every workload,
 graph family, transport, and layer configuration tried here (paper
 Sec. IV-A: merging gives single-vertex consistency, which batching must
@@ -32,9 +33,9 @@ from repro.algorithms.sssp import (
 from repro.graph import build_graph, erdos_renyi, rmat, uniform_weights
 from repro.patterns import bind
 from repro.runtime import ChaosConfig
-from repro.runtime.machine import FAST_PATHS, Machine
+from repro.runtime.machine import Machine
 
-MODES = list(FAST_PATHS)
+from ..modes import MODES, mode_machine
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +111,8 @@ def run_cc_labelprop(machine, graph, layers=None):
     return comp.to_array(), deps
 
 
-def make_machine(fast_path, transport="sim"):
-    return Machine(n_ranks=4, transport=transport, fast_path=fast_path)
+def make_machine(mode, transport="sim"):
+    return mode_machine(mode, n_ranks=4, transport=transport)
 
 
 def vector_items(machine):
@@ -396,10 +397,10 @@ def test_sssp_chaos_on_process(chaos_seed):
 CHAOS_SEEDS = [0, 1, 2, 3]
 
 
-def make_chaos_machine(fast_path, seed):
-    return Machine(
+def make_chaos_machine(mode, seed):
+    return mode_machine(
+        mode,
         n_ranks=4,
-        fast_path=fast_path,
         chaos=ChaosConfig(
             seed=seed, drop=0.08, duplicate=0.10, reorder=0.08, split=0.20
         ),
@@ -467,7 +468,7 @@ def test_sssp_differential_observe(fast_path):
     g, wbg, s, t = er_instance(n=80, avg_deg=4, seed=33)
     results = {}
     for observe in OBSERVE_MODES:
-        m = Machine(n_ranks=4, fast_path=fast_path, observe=observe)
+        m = mode_machine(fast_path, n_ranks=4, observe=observe)
         try:
             if observe is True:
                 assert m.observer is not None and m.observer.port

@@ -1,17 +1,18 @@
-"""Native codegen tier: lowering, kernel cache, degradation, fusion.
+"""The fused fast tier: fusion legality, tier reporting, fused fan-out.
 
-The native fast path generates a per-(shape, dtypes, schema) kernel
-module, loads it through a two-level (memory + disk) cache, and — when
-the planner proves the gather->evaluate pair rank-local — fuses the two
-message rounds into one.  Differential correctness against the
-interpreted oracle lives in ``test_fastpath_differential.py``; this file
-tests the machinery itself.
+Gather -> evaluate fusion was introduced by the retired ``native`` fast
+path and now runs in the fused tier of the default vector fast path.  When the
+planner proves the pair fusable, rank-local edges are applied inline by
+the multi-source fan-out and dominated remote candidates are dropped
+before the wire.  Differential correctness against the interpreted oracle
+lives in ``test_fastpath_differential.py``; this file tests the
+machinery itself.
 """
 
 from __future__ import annotations
 
+import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -19,26 +20,12 @@ import pytest
 from repro.algorithms.sssp import bind_sssp
 from repro.graph import build_graph, erdos_renyi, path, uniform_weights
 from repro.patterns import Pattern, bind, compile_action, trg
-from repro.patterns.kernelcache import (
-    CODEGEN_VERSION,
-    cache_key,
-    clear_memory_cache,
-    load_kernels,
-)
+from repro.patterns.fastpath import recognize_vector_shape
 from repro.patterns.locality import fusion_report
-from repro.patterns.native import build_native_plan, generate_source
-from repro.runtime.machine import (
-    FAST_PATHS,
-    NATIVE_BACKENDS,
-    Machine,
-    _numba_available,
-    _reset_native_warning,
-)
+from repro.props.property_map import weight_map_from_array
+from repro.runtime.machine import DEFAULT_FAST_PATH, FAST_PATHS, Machine
 
 from .conftest import make_jump_pattern, make_sssp_pattern
-
-HAVE_NUMBA = _numba_available()
-
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -51,21 +38,23 @@ def small_instance(n=40, m=160, seed=3, n_ranks=2):
     return build_graph(n, list(zip(s, t)), weights=w, n_ranks=n_ranks)
 
 
-def native_machine(n_ranks=2, **kw):
-    kw.setdefault("native_backend", "interp")
-    return Machine(n_ranks, fast_path="native", **kw)
-
-
-def run_sssp(machine, g, wbg, source=0):
-    bp = bind_sssp(machine, g, wbg)
+def run_sssp(machine, g, wbg, source=0, layers=None):
+    """Fixed-point SSSP; returns (bound pattern, dist, dependent set)."""
+    bp = bind_sssp(machine, g, wbg, layers=layers)
     dist = bp.map("dist")
     dist.fill(math.inf)
     dist[source] = 0.0
     relax = bp["relax"]
-    relax.work = lambda ctx, w: relax.invoke_from(ctx, w)
+    deps: set = set()
+
+    def hook(ctx, w):
+        deps.add(int(w))
+        relax.invoke_from(ctx, w)
+
+    relax.work = hook
     with machine.epoch() as ep:
         relax.invoke(ep, source)
-    return bp, dist.to_array()
+    return bp, dist.to_array(), deps
 
 
 # ---------------------------------------------------------------------------
@@ -111,166 +100,126 @@ class TestFusionReport:
 
 
 # ---------------------------------------------------------------------------
-# code generation and the kernel cache
+# the batch kernels' contracts (formerly checked on generated kernels)
 # ---------------------------------------------------------------------------
 
 
-def sssp_spec(n_ranks=2):
-    g, wbg = small_instance(n_ranks=n_ranks)
-    m = native_machine(n_ranks=n_ranks)
-    bp = bind_sssp(m, g, wbg)
-    np_plan = bp["relax"].native_plan
-    assert np_plan is not None
-    return np_plan
-
-
 class TestCodegen:
-    def test_generated_source_is_deterministic(self):
-        plan = sssp_spec()
-        assert generate_source(plan.spec) == generate_source(plan.spec)
+    """The generated kernels are gone; the hand-written ones that replace
+    them keep each contract: extremum scatter, wire-row layout, and the
+    dependent set."""
 
-    def test_generated_module_shape(self):
-        plan = sssp_spec()
-        src = generate_source(plan.spec)
-        ns: dict = {}
-        exec(compile(src, "<kernel>", "exec"), ns)
-        kernels = ns["make"](None)
-        assert set(kernels) == {"fanout", "scatter", "pack", "collect"}
+    def sssp_bound(self, n_ranks=1):
+        g, wbg = small_instance(n=12, m=30, n_ranks=n_ranks)
+        m = Machine(n_ranks)
+        return m, bind_sssp(m, g, wbg)
 
     def test_scatter_kernel_is_extremum_update(self):
-        plan = sssp_spec()
-        arr = np.array([5.0, 2.0, 9.0])
-        idx = np.array([0, 0, 2])
-        vals = np.array([3.0, 4.0, 11.0])
-        changed = plan.kernels["scatter"](arr, idx, vals)
-        assert arr.tolist() == [3.0, 2.0, 9.0]  # min kept, 11 rejected
+        m, bp = self.sssp_bound()
+        dist = bp.map("dist")
+        dist.fill(0.0)
+        for v, x in ((0, 5.0), (1, 2.0), (2, 9.0)):
+            dist[v] = x
+        changed = dist.scatter_extremum(
+            0, np.array([0, 0, 2]), np.array([3.0, 4.0, 11.0]), minimize=True
+        )
+        assert dist.to_array()[:3].tolist() == [3.0, 2.0, 9.0]  # 11 rejected
         # mask: target ended below this row's pre-round read (rows 0 and 1
         # both observe vertex 0 improve; the dependent set is their union)
         assert changed.tolist() == [True, True, False]
 
     def test_pack_rows_match_scalar_payload_layout(self):
-        plan = sssp_spec()
-        dests = np.array([7, 9])
-        cols = [np.array([1.5, 2.5])]
-        rows = plan.kernels["pack"](dests, *cols)
-        esi = plan.spec["esi"]
-        slot = plan.spec["slots"][0]
-        assert rows == [(7, 0, esi, slot, 1.5), (9, 0, esi, slot, 2.5)]
+        _, bp = self.sssp_bound()
+        relax = bp["relax"]
+        vp = relax.vector_plan
+        rows = relax._pack_rows(np.array([7, 9]), [np.array([1.5, 2.5])])
+        (slot,) = vp.slot_sig
+        assert rows == [(7, 0, vp.eval_si, slot, 1.5), (9, 0, vp.eval_si, slot, 2.5)]
+        # ... the walk's own packing of the same eval-step payload
+        eval_step = relax.plan.cond_plans[0].steps[vp.eval_si]
+        env = {vp.cand_key: 1.5}
+        assert rows[0] == relax._pack(7, 0, vp.eval_si, env, eval_step._carry)
 
     def test_collect_is_unique_changed_dests(self):
-        plan = sssp_spec()
-        dv = np.array([4, 4, 2, 9])
-        changed = np.array([True, True, True, False])
-        assert plan.kernels["collect"](dv, changed).tolist() == [2, 4]
+        from repro.runtime.transport import HandlerContext
 
-
-class TestKernelCache:
-    def test_cache_key_versioned_and_shape_sensitive(self):
-        a = {"kind": "extremum_fanout", "cols": ["x"]}
-        b = {"kind": "extremum_fanout", "cols": ["y"]}
-        assert cache_key(a) == cache_key(a)
-        assert cache_key(a) != cache_key(b)
-        assert CODEGEN_VERSION >= 1
-
-    def test_memory_cache_hit_on_second_bind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "off")
-        clear_memory_cache()
-        g, wbg = small_instance()
-        m1 = native_machine()
-        bind_sssp(m1, g, wbg)
-        assert m1.stats.native.kernel_compiles == 1
-        m2 = native_machine()
-        bind_sssp(m2, g, wbg)
-        assert m2.stats.native.kernel_compiles == 0
-        assert m2.stats.native.kernel_cache_hits == 1
-
-    def test_disk_cache_survives_memory_clear(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        clear_memory_cache()
-        g, wbg = small_instance()
-        m1 = native_machine()
-        _, d1 = run_sssp(m1, g, wbg)
-        assert m1.stats.native.kernel_compiles == 1
-        files = list(tmp_path.glob("rk_*.py"))
-        assert len(files) == 1  # one generated module persisted
-        clear_memory_cache()  # simulate a fresh process
-        m2 = native_machine()
-        _, d2 = run_sssp(m2, g, wbg)
-        assert m2.stats.native.kernel_compiles == 0
-        assert m2.stats.native.disk_cache_hits == 1
-        assert np.array_equal(d1, d2)
-
-    def test_cache_off_disables_disk(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "off")
-        clear_memory_cache()
-        g, wbg = small_instance()
-        bind_sssp(native_machine(), g, wbg)
-        assert not list(tmp_path.glob("rk_*.py"))
+        m, bp = self.sssp_bound()
+        dist = bp.map("dist")
+        dist.fill(10.0)
+        relax = bp["relax"]
+        fired: list = []
+        relax.work = lambda ctx, w: fired.append(w)
+        relax._vector_apply(
+            HandlerContext(m, 0), [4, 4, 2, 9], np.array([3.0, 1.0, 2.0, 11.0])
+        )
+        assert fired == [2, 4]  # unique changed destinations, once each
+        assert dist[4] == 1.0 and dist[9] == 10.0
 
 
 # ---------------------------------------------------------------------------
-# backend resolution and graceful degradation
+# fast-path flag and the resolved tier of every bound action
 # ---------------------------------------------------------------------------
 
 
-class TestBackendResolution:
-    def test_interp_backend_runs_without_numba(self):
-        m = native_machine()
-        assert m.fast_path == "native"
-        assert m.native_backend == "interp"
+class TestTierReporting:
+    def test_fast_paths_are_oracle_and_vector(self):
+        assert FAST_PATHS == ("off", "vector")
+        assert DEFAULT_FAST_PATH == "vector"
+        assert Machine(2).fast_path == "vector"
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_BACKEND", "interp")
-        m = Machine(2, fast_path="native")
-        assert m.fast_path == "native"
-        assert m.native_backend == "interp"
+    @pytest.mark.parametrize("retired", ["compiled", "native"])
+    def test_retired_fast_paths_name_vector(self, retired):
+        with pytest.raises(ValueError, match="'vector'"):
+            Machine(2, fast_path=retired)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="native_backend"):
-            Machine(2, fast_path="native", native_backend="fortran")
-
-    def test_native_in_fast_paths(self):
-        assert "native" in FAST_PATHS
-        assert NATIVE_BACKENDS == ("auto", "jit", "interp")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_auto_without_numba_degrades_to_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_BACKEND", raising=False)
-        _reset_native_warning()
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            m = Machine(2, fast_path="native")
-        assert m.fast_path == "vector"
-        assert m.requested_fast_path == "native"
-        assert m.stats.native.fallbacks == 1
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_degradation_warns_once(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_BACKEND", raising=False)
-        _reset_native_warning()
-        with pytest.warns(RuntimeWarning):
-            Machine(2, fast_path="native")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            m = Machine(2, fast_path="native")
-        assert m.fast_path == "vector"
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_jit_without_numba_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_BACKEND", raising=False)
-        with pytest.raises(RuntimeError, match="native"):
-            Machine(2, fast_path="native", native_backend="jit")
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jit_backend_with_numba(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        clear_memory_cache()
+    def test_sssp_relax_reports_fused(self):
         g, wbg = small_instance()
-        m = Machine(2, fast_path="native", native_backend="jit")
-        assert m.fast_path == "native" and m.native_backend == "jit"
-        _, d = run_sssp(m, g, wbg)
-        m_off = Machine(2, fast_path="off")
-        _, d0 = run_sssp(m_off, g, wbg)
-        assert np.array_equal(d, d0)
+        m = Machine(2)
+        bp = bind_sssp(m, g, wbg)
+        relax = bp["relax"]
+        assert relax.tier == "fused"
+        assert relax.tier_reason == fusion_report(relax.plan).reason
+        assert "tier: fused (source-local" in bp.describe()
+        assert m.action_tiers[relax.mtype.name]["tier"] == "fused"
+        assert m.stats.fusion.actions_fused == 1
+
+    def test_unvectorisable_pattern_reports_walk_with_reason(self):
+        m = Machine(2)
+        g, _ = build_graph(12, [(0, 1)], n_ranks=2)
+        jump = bind(make_jump_pattern(), m, g)["jump"]
+        assert jump.tier == "walk"
+        assert jump.tier_reason  # why the vector shape was rejected
+        assert recognize_vector_shape(jump) == jump.tier_reason
+        assert f"tier: walk ({jump.tier_reason})" in jump.describe()
+        assert m.action_tiers[jump.mtype.name] == {
+            "tier": "walk",
+            "reason": jump.tier_reason,
+        }
+        assert m.stats.fusion.actions_walk == 1
+
+    @pytest.mark.parametrize("fast_path, tier", [("off", "walk"), ("vector", "fused")])
+    def test_tier_follows_fast_path(self, fast_path, tier):
+        g, wbg = small_instance()
+        m = Machine(2, fast_path=fast_path)
+        relax = bind_sssp(m, g, wbg)["relax"]
+        assert relax.tier == tier and relax.tier_reason
+        assert (relax.vector_plan is not None) == (tier != "walk")
+        # the oracle's walk is a choice, not a fallback
+        assert m.stats.fusion.fallbacks == 0
+
+    def test_status_route_reports_tiers(self):
+        from repro.analysis.serve import scrape
+
+        g, wbg = small_instance()
+        m = Machine(2, observe=True)
+        try:
+            bind_sssp(m, g, wbg)
+            status, body = scrape(m.observer.url + "/status")
+        finally:
+            m.shutdown()
+        doc = json.loads(body)
+        assert status == 200 and doc["fast_path"] == "vector"
+        assert [t["tier"] for t in doc["tiers"].values()] == ["fused"]
 
 
 # ---------------------------------------------------------------------------
@@ -279,44 +228,38 @@ class TestBackendResolution:
 
 
 class TestExecutorIntegration:
-    def test_fused_rounds_and_counters(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "off")
-        clear_memory_cache()
+    def test_fused_rounds_and_counters(self):
         g, wbg = small_instance()
-        m = native_machine()
-        bp, dist = run_sssp(m, g, wbg)
-        assert bp["relax"].native_plan is not None
-        assert bp["relax"].native_plan.fused
-        st = m.stats.native
+        m = Machine(2)
+        bp, dist, deps = run_sssp(m, g, wbg)
+        assert bp["relax"].tier == "fused"
+        st = m.stats.fusion
         assert st.fused_rounds > 0
         assert st.fused_edges > 0  # rank-local edges applied with 0 messages
         assert st.remote_rows > 0  # cross-rank rows still travel the wire
         assert st.fallbacks == 0
-        assert st.jit_seconds > 0.0
-        m_off = Machine(2, fast_path="off")
-        _, d0 = run_sssp(m_off, g, wbg)
+        _, d0, deps0 = run_sssp(Machine(2, fast_path="off"), g, wbg)
         assert np.array_equal(dist, d0)
+        assert deps == deps0
 
-    def test_single_rank_fused_sends_nothing_remote(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "off")
-        clear_memory_cache()
+    def test_single_rank_fused_sends_nothing_remote(self):
         n = 30
         s, t = path(n)
         g, wbg = build_graph(
             n, list(zip(s.tolist(), t.tolist())),
             weights=uniform_weights(n - 1, 1, 5, seed=3), n_ranks=1,
         )
-        m = native_machine(n_ranks=1)
-        _, dist = run_sssp(m, g, wbg)
-        assert m.stats.native.remote_rows == 0
+        m = Machine(1)
+        _, dist, _ = run_sssp(m, g, wbg)
+        assert m.stats.fusion.remote_rows == 0
         assert np.isfinite(dist).all()
 
     def test_unrecognized_shape_counts_fallback(self):
-        m = native_machine()
+        m = Machine(2)
         g, _ = build_graph(12, [(0, 1)], n_ranks=2)
         bp = bind(make_jump_pattern(), m, g)
-        assert bp["jump"].native_plan is None
-        assert m.stats.native.fallbacks == 1
+        assert bp["jump"].vector_plan is None
+        assert m.stats.fusion.fallbacks == 1
         # still runs correctly on the compiled walk
         pm = bp.map("prnt")
         for v in range(12):
@@ -329,7 +272,103 @@ class TestExecutorIntegration:
         assert pm.to_array().tolist() == [0] * 12
 
     def test_native_report_section(self):
-        m = native_machine()
+        m = Machine(2)
         g, wbg = small_instance()
         run_sssp(m, g, wbg)
-        assert "native kernels" in m.stats.report()
+        rep = m.stats.report()
+        assert "fast tiers" in rep and "fused rounds" in rep
+
+
+class TestDominatedRowDedup:
+    """Of several remote candidates fanned out to one vertex in a round,
+    only the best is shipped; maps and dependent sets stay identical."""
+
+    def multigraph(self):
+        # block partition over 2 ranks: 0-3 on rank 0, 4-7 on rank 1
+        edges = [(0, 5), (0, 5), (0, 5), (0, 6), (0, 6), (0, 1), (1, 6)]
+        w = np.array([5.0, 2.0, 7.0, 1.0, 4.0, 1.0, 0.5])
+        return build_graph(8, edges, weights=w, n_ranks=2, partition="block")
+
+    @pytest.mark.parametrize("layers", [None, {"relax": {"coalescing": 4}}])
+    def test_dedup_bit_identical(self, layers):
+        g, wbg = self.multigraph()
+        m = Machine(2)
+        _, dist, deps = run_sssp(m, g, wbg, layers=layers)
+        _, d0, deps0 = run_sssp(Machine(2, fast_path="off"), g, wbg, layers=layers)
+        assert np.array_equal(dist, d0)
+        assert deps == deps0
+        # start 0 fans 5 remote rows out to two vertices: 2 survive;
+        # then vertex 1's single remote row to 6
+        assert m.stats.fusion.remote_rows == 3
+        assert dist[5] == 2.0 and dist[6] == 1.0
+
+    def test_maximize_keeps_the_largest(self):
+        p = Pattern("WIDEST")
+        cap = p.vertex_prop("cap", float, default=0.0)
+        weight = p.edge_prop("weight", float)
+        relax = p.action("relax")
+        v = relax.input
+        e = relax.out_edges()
+        cand = relax.let("cand", cap[v] - weight[e])
+        with relax.when(cand > cap[trg(e)]):
+            relax.set(cap[trg(e)], cand)
+        g, wbg = self.multigraph()
+        out = {}
+        for fp in FAST_PATHS:
+            m = Machine(2, fast_path=fp)
+            bp = bind(p, m, g, props={"weight": weight_map_from_array(g, wbg)})
+            bp.map("cap")[0] = 100.0
+            out[fp] = (bp, m)
+            with m.epoch() as ep:
+                bp["relax"].invoke(ep, 0)
+        (bp_v, m_v), (bp_o, _) = out["vector"], out["off"]
+        assert bp_v["relax"].tier == "fused"
+        assert np.array_equal(bp_v.map("cap").to_array(), bp_o.map("cap").to_array())
+        assert bp_v.map("cap")[5] == 98.0  # the lightest parallel arc wins
+        assert m_v.stats.fusion.remote_rows == 2
+
+
+class TestBulkRowsAndStartFrames:
+    def test_send_rows_accounting_matches_per_row_sends(self):
+        """With exactly one coalescing layer and spans off, remote rows
+        are appended to the coalescing buffers in bulk; with spans on the
+        same rows go through ``ctx.send`` one by one.  Logical accounting
+        must not tell the two apart."""
+        g, wbg = small_instance(n=60, m=300, seed=8, n_ranks=4)
+        layers = {"relax": {"coalescing": 8}}
+        runs = {}
+        for level in ("counters", "spans"):
+            m = Machine(4, telemetry=level)
+            bp, dist, deps = run_sssp(m, g, wbg, layers=layers)
+            assert bp["relax"]._bulk_layer is not None
+            ts = m.stats.by_type[bp["relax"].mtype.name]
+            runs[level] = (
+                dist,
+                deps,
+                {k: v for k, v in m.stats.summary().items() if "seconds" not in k},
+                (ts.sent_local, ts.sent_remote, ts.coalesced_flushes,
+                 ts.coalesced_items, ts.handler_calls),
+                m.stats.fusion.remote_rows,
+            )
+        bulk, rows = runs["counters"], runs["spans"]
+        assert np.array_equal(bulk[0], rows[0])
+        assert bulk[1:] == rows[1:]
+        assert bulk[4] > 0
+
+    def test_wire_batch_start_frames_on_process(self):
+        """Work-hook re-invocations cross the process wire as columnar
+        start frames; each frame is one multi-source fused fan-out."""
+        g, wbg = small_instance(n=80, m=400, seed=12, n_ranks=2)
+        layers = {"relax": {"coalescing": 16}}
+        _, d0, deps0 = run_sssp(Machine(2, fast_path="off"), g, wbg, layers=layers)
+        m = Machine(2, transport="process")
+        try:
+            _, dist, deps = run_sssp(m, g, wbg, layers=layers)
+            work_items = m.stats.total.work_items
+            fused_rounds = m.stats.fusion.fused_rounds
+        finally:
+            m.shutdown()
+        assert np.array_equal(dist, d0)
+        assert deps == deps0
+        # fewer fan-out calls than started vertices: starts were batched
+        assert 0 < fused_rounds < work_items

@@ -22,10 +22,10 @@ from repro.algorithms.sssp import bind_sssp, dijkstra_reference
 from repro.graph import PARTITIONS, build_graph, rmat, uniform_weights
 from repro.patterns import bind
 from repro.runtime import ChaosConfig
-from repro.runtime.machine import FAST_PATHS, Machine
+from repro.runtime.machine import Machine
 
 KINDS = sorted(PARTITIONS)
-MODES = list(FAST_PATHS)
+from ..modes import MODES, mode_machine
 
 
 def instance(partition, scale=7, edge_factor=6, seed=5, n_ranks=4):
@@ -76,7 +76,7 @@ def oracle():
     """Block partition, sim transport, interpreted walk + the sequential
     reference; every other cell must match the map bit-for-bit."""
     g, wbg, s, t = instance("block")
-    dist, _ = run_sssp(Machine(4), g, wbg)
+    dist, _ = run_sssp(Machine(4, fast_path="off"), g, wbg)
     w_in = np.empty(len(s))
     from collections import defaultdict
 
@@ -95,7 +95,7 @@ def oracle():
 @pytest.mark.parametrize("kind", KINDS)
 def test_sssp_partitioners_sim(kind, fast_path, oracle):
     g, wbg, _, _ = instance(kind)
-    m = Machine(4, fast_path=fast_path)
+    m = mode_machine(fast_path, 4)
     dist, _ = run_sssp(m, g, wbg, layers={"relax": {"coalescing": 16}})
     assert np.array_equal(oracle, dist), f"dist mismatch {kind}/{fast_path}"
 
@@ -103,13 +103,13 @@ def test_sssp_partitioners_sim(kind, fast_path, oracle):
 @pytest.mark.parametrize("kind", KINDS)
 def test_deps_invariant_across_fast_paths(kind):
     """Within one placement the dependent set is schedule-determined and
-    must agree across all four execution tiers — as must the logical
-    message accounting (fast paths change *how* messages are delivered,
-    never how many)."""
+    must agree across every configuration of the test matrix — as must
+    the walk's logical message accounting (it changes *how* messages are
+    delivered, never how many)."""
     g, wbg, _, _ = instance(kind)
     results = {}
     for fp in MODES:
-        m = Machine(4, fast_path=fp)
+        m = mode_machine(fp, 4)
         dist, deps = run_sssp(m, g, wbg)
         summary = {
             k: v for k, v in m.stats.summary().items()
@@ -121,10 +121,10 @@ def test_deps_invariant_across_fast_paths(kind):
         dist, deps, summ = results[fp]
         assert np.array_equal(dist0, dist), f"{kind}: dist off vs {fp}"
         assert deps0 == deps, f"{kind}: deps off vs {fp}"
-        if fp != "native":
-            # native fuses rank-local edges without messages, so its
-            # counters legitimately differ; the interpreted->vectorized
-            # lowering must be accounting-transparent.
+        if fp == "compiled":
+            # the fused tier applies rank-local edges without messages,
+            # so its counters legitimately differ; the compiled walk
+            # must be accounting-transparent.
             assert summ0 == summ, f"{kind}: logical counters off vs {fp}"
 
 

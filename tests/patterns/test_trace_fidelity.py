@@ -6,7 +6,7 @@ action's dependency graph; telemetry reconstructs the same chains from a
 pattern (``prnt[prnt[v]]``, plan: gather @ v -> gather @ prnt[v] ->
 evaluate @ v) every recorded trace must be a msg/handle alternation whose
 message count equals the plan's ``static_message_count()`` — across both
-transports, all three fast paths, and a chaotic lossy wire with reliable
+transports, every configuration of the test matrix, and a chaotic lossy wire with reliable
 delivery (duplicates must collapse to one logical evaluate)."""
 
 import pytest
@@ -16,17 +16,17 @@ from repro.analysis import chain_of, critical_paths
 from repro.graph import build_graph, path, uniform_weights
 from repro.patterns import bind, compile_action
 from repro.runtime import ChaosConfig
-from repro.runtime.machine import FAST_PATHS
 
+from ..modes import MODES, mode_machine
 from .conftest import make_jump_pattern
 
 
 N = 12
 
 
-def jump_machine(**mkw):
+def jump_machine(mode="native", **mkw):
     g, _ = build_graph(N, [(0, 1)], n_ranks=4)
-    m = Machine(n_ranks=4, telemetry="spans", **mkw)
+    m = mode_machine(mode, n_ranks=4, telemetry="spans", **mkw)
     bp = bind(make_jump_pattern(), m, g)
     pm = bp.map("prnt")
     for v in range(N):
@@ -90,25 +90,25 @@ class TestJumpChainFidelity:
             assert chain[1].rank == chain[5].rank  # starts and ends at v
         assert m.telemetry.pending_contexts() == 0
 
-    @pytest.mark.parametrize("fast_path", FAST_PATHS)
+    @pytest.mark.parametrize("fast_path", MODES)
     def test_sim(self, fast_path):
-        m, bp = jump_machine(fast_path=fast_path)
+        m, bp = jump_machine(fast_path)
         run_one_round(m, bp)
         self.check_machine(m)
 
-    @pytest.mark.parametrize("fast_path", FAST_PATHS)
+    @pytest.mark.parametrize("fast_path", MODES)
     def test_threads(self, fast_path):
-        m, bp = jump_machine(fast_path=fast_path, transport="threads")
+        m, bp = jump_machine(fast_path, transport="threads")
         with m:
             run_one_round(m, bp)
             self.check_machine(m)
 
-    @pytest.mark.parametrize("fast_path", FAST_PATHS)
+    @pytest.mark.parametrize("fast_path", MODES)
     def test_sim_chaos_reliable(self, fast_path):
         """A lossy, duplicating wire with reliable delivery must not
         change the logical span trees at all."""
         m, bp = jump_machine(
-            fast_path=fast_path,
+            fast_path,
             chaos=ChaosConfig(seed=11, drop=0.15, duplicate=0.15),
         )
         run_one_round(m, bp)
@@ -152,9 +152,11 @@ class TestJumpChainFidelity:
 
 class TestFusedTraceFidelity:
     """Fusion changes the *planned* message count, and the live trace
-    must follow: a fused native round applies rank-local relaxations
-    inline, so the gather -> evaluate hop disappears from the span tree
-    exactly as ``static_message_count(fused=True)`` predicts."""
+    must follow: a fused round applies rank-local relaxations inline, so
+    the gather -> evaluate hop disappears from the span tree exactly as
+    ``static_message_count(fused=True)`` predicts.  The fused tier is the
+    default; the walk (the vector machine's fallback, pinned here by the
+    test matrix's ``"compiled"`` label) is the unfused reference."""
 
     N = 10
 
@@ -166,7 +168,7 @@ class TestFusedTraceFidelity:
             self.N, list(zip(s.tolist(), t.tolist())),
             weights=uniform_weights(self.N - 1, 1, 5, seed=3), n_ranks=1,
         )
-        m = Machine(1, fast_path=fast_path, telemetry="spans")
+        m = mode_machine(fast_path, 1, telemetry="spans")
         bp = bind_sssp(m, g, wg)
         dist = bp.map("dist")
         dist.fill(float("inf"))
@@ -187,25 +189,25 @@ class TestFusedTraceFidelity:
         # the planner proves fusion and drops one round from the count
         assert plan.static_message_count() == 1
         assert plan.static_message_count(fused=True) == 0
-        assert bp["relax"].native_plan is not None
-        assert bp["relax"].native_plan.fused
-        assert m.stats.native.fused_rounds > 0
+        assert bp["relax"].tier == "fused"
+        assert m.stats.fusion.fused_rounds > 0
         # live: only the driver's invoke message remains
         assert self.msgs_per_trace(m) == plan.static_message_count(fused=True) + 1
 
     def test_unfused_vector_keeps_eval_hop(self):
-        m, bp = self._run("vector")
+        m, bp = self._run("compiled")
+        assert bp["relax"].tier == "walk"
         plan = bp["relax"].plan
         # unfused: invoke + the gather->evaluate hop, as planned
         assert self.msgs_per_trace(m) == plan.static_message_count() + 1
 
     def test_fused_and_unfused_agree_on_result(self):
         dists = {}
-        for fp in ("off", "vector", "native"):
+        for fp in ("off", "compiled", "vector"):
             m, bp = self._run(fp)
             dists[fp] = bp.map("dist").to_array()
+        assert (dists["off"] == dists["compiled"]).all()
         assert (dists["off"] == dists["vector"]).all()
-        assert (dists["off"] == dists["native"]).all()
 
 
 def sssp_vector_machine(chaos=None):

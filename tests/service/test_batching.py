@@ -19,6 +19,8 @@ from repro.graph import build_graph, erdos_renyi, uniform_weights
 from repro.service import GraphEngine
 from repro.service.batching import BatchingScheduler, BatchKey, batch_key
 
+from ..modes import mode_machine
+
 SOURCES = (0, 5, 11, 17, 23, 29)
 
 
@@ -46,9 +48,9 @@ class TestBatchedEqualsSequential:
     @pytest.mark.parametrize("transport", ("sim", "threads"))
     def test_sssp_bit_identical(self, transport, mode):
         g, wg = instance()
-        batched = GraphEngine(Machine(4, transport=transport, fast_path=mode), g, wg)
+        batched = GraphEngine(mode_machine(mode, 4, transport=transport), g, wg)
         sequential = GraphEngine(
-            Machine(4, transport=transport, fast_path=mode), g, wg, batching=False
+            mode_machine(mode, 4, transport=transport), g, wg, batching=False
         )
         try:
             jobs_b = submit_as_group(batched, "sssp", SOURCES)
@@ -57,7 +59,7 @@ class TestBatchedEqualsSequential:
             wait_all(jobs_s)
             for jb, js, src in zip(jobs_b, jobs_s, SOURCES):
                 assert np.array_equal(jb.result, js.result)
-                ref = sssp_fixed_point(Machine(4, fast_path=mode), g, wg, src)
+                ref = sssp_fixed_point(mode_machine(mode, 4), g, wg, src)
                 assert np.array_equal(jb.result, ref)
             # the batched engine actually fused; the sequential one did not
             assert batched.machine.stats.service.batches_executed == 1
@@ -71,13 +73,13 @@ class TestBatchedEqualsSequential:
     @pytest.mark.parametrize("mode", ("off", "vector", "native"))
     def test_sssp_bit_identical_process(self, mode):
         g, wg = instance()
-        m = Machine(4, transport="process", fast_path=mode)
+        m = mode_machine(mode, 4, transport="process")
         eng = GraphEngine(m, g, wg)
         try:
             jobs = submit_as_group(eng, "sssp", SOURCES)
             wait_all(jobs)
             for job, src in zip(jobs, SOURCES):
-                ref = sssp_fixed_point(Machine(4, fast_path=mode), g, wg, src)
+                ref = sssp_fixed_point(mode_machine(mode, 4), g, wg, src)
                 assert np.array_equal(job.result, ref)
             assert m.stats.service.batches_executed == 1
         finally:

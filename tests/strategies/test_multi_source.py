@@ -21,7 +21,7 @@ from repro.graph import build_graph, erdos_renyi, uniform_weights
 from repro.runtime import ChaosConfig
 from repro.strategies import MultiSourceRunner, bfs_multi, sssp_multi
 
-MODES = ("off", "compiled", "vector", "native")
+from ..modes import MODES, mode_machine
 SOURCES = (0, 7, 19, 33)
 
 CHAOS_KW = dict(drop=0.12, duplicate=0.10, reorder=0.10, reorder_window=4)
@@ -41,7 +41,7 @@ def sssp_oracle(mode: str) -> np.ndarray:
     if ("sssp", mode) not in _oracle_cache:
         g, wg = er(weights=True)
         _oracle_cache[("sssp", mode)] = np.stack(
-            [sssp_fixed_point(Machine(4, fast_path=mode), g, wg, s) for s in SOURCES]
+            [sssp_fixed_point(mode_machine(mode, 4), g, wg, s) for s in SOURCES]
         )
     return _oracle_cache[("sssp", mode)]
 
@@ -50,7 +50,7 @@ def bfs_oracle(mode: str) -> np.ndarray:
     if ("bfs", mode) not in _oracle_cache:
         g, _ = er()
         _oracle_cache[("bfs", mode)] = np.stack(
-            [bfs_fixed_point(Machine(4, fast_path=mode), g, s) for s in SOURCES]
+            [bfs_fixed_point(mode_machine(mode, 4), g, s) for s in SOURCES]
         )
     return _oracle_cache[("bfs", mode)]
 
@@ -63,7 +63,7 @@ class TestFusedEqualsSequential:
     def test_sssp(self, transport, mode):
         g, wg = er(weights=True)
         rows = sssp_multi(
-            Machine(4, transport=transport, fast_path=mode), g, wg, SOURCES
+            mode_machine(mode, 4, transport=transport), g, wg, SOURCES
         )
         assert rows.shape == (len(SOURCES), g.n_vertices)
         assert np.array_equal(rows, sssp_oracle(mode))
@@ -72,13 +72,13 @@ class TestFusedEqualsSequential:
     @pytest.mark.parametrize("transport", ("sim", "threads"))
     def test_bfs(self, transport, mode):
         g, _ = er()
-        rows = bfs_multi(Machine(4, transport=transport, fast_path=mode), g, SOURCES)
+        rows = bfs_multi(mode_machine(mode, 4, transport=transport), g, SOURCES)
         assert np.array_equal(rows, bfs_oracle(mode))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sssp_with_coalescing(self, mode):
         g, wg = er(weights=True)
-        rows = sssp_multi(Machine(4, fast_path=mode), g, wg, SOURCES, coalescing=64)
+        rows = sssp_multi(mode_machine(mode, 4), g, wg, SOURCES, coalescing=64)
         assert np.array_equal(rows, sssp_oracle(mode))
 
     def test_k1_degenerates_to_single_source(self):
@@ -101,7 +101,7 @@ class TestProcessTransport:
     @pytest.mark.parametrize("mode", MODES)
     def test_sssp_and_rerun(self, mode):
         g, wg = er(weights=True)
-        m = Machine(4, transport="process", fast_path=mode)
+        m = mode_machine(mode, 4, transport="process")
         try:
             rows = sssp_multi(m, g, wg, SOURCES)
             assert np.array_equal(rows, sssp_oracle(mode))
@@ -116,7 +116,7 @@ class TestProcessTransport:
     @pytest.mark.parametrize("mode", ("off", "vector"))
     def test_bfs(self, mode):
         g, _ = er()
-        m = Machine(4, transport="process", fast_path=mode)
+        m = mode_machine(mode, 4, transport="process")
         try:
             assert np.array_equal(bfs_multi(m, g, SOURCES), bfs_oracle(mode))
         finally:
@@ -133,8 +133,8 @@ class TestUnderChaos:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sssp(self, mode, seed):
         g, wg = er(weights=True)
-        m = Machine(
-            4, fast_path=mode, chaos=ChaosConfig(seed=seed, **CHAOS_KW), reliable=True
+        m = mode_machine(
+            mode, 4, chaos=ChaosConfig(seed=seed, **CHAOS_KW), reliable=True
         )
         rows = sssp_multi(m, g, wg, SOURCES)
         assert np.array_equal(rows, sssp_oracle(mode))
@@ -144,8 +144,8 @@ class TestUnderChaos:
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_bfs(self, mode, seed):
         g, _ = er()
-        m = Machine(
-            4, fast_path=mode, chaos=ChaosConfig(seed=seed, **CHAOS_KW), reliable=True
+        m = mode_machine(
+            mode, 4, chaos=ChaosConfig(seed=seed, **CHAOS_KW), reliable=True
         )
         assert np.array_equal(bfs_multi(m, g, SOURCES), bfs_oracle(mode))
 
