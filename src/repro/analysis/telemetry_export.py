@@ -6,7 +6,8 @@ Two standard observability surfaces for a machine's telemetry:
   Format consumed by ``chrome://tracing`` and https://ui.perfetto.dev.
   Each rank becomes a process track (plus one ``driver`` track for
   rank ``-1`` activity); msg/handle/batch/phase spans become complete
-  (``"X"``) events; chaos faults and retries become instants (``"i"``);
+  (``"X"``) events; the flight ring's runtime events (chaos faults,
+  retries, checkpoints, crashes, recoveries, ...) become instants (``"i"``);
   message causality is drawn with flow events (``"s"``/``"f"``) so
   Perfetto renders the paper's Fig. 5-6 gather→gather→evaluate arrows.
 * :func:`to_prometheus` — the Prometheus text exposition format, built
@@ -33,7 +34,6 @@ _CATEGORIES = {
     "handle": "handle",
     "batch": "batch",
     "phase": "phase",
-    "event": "event",
 }
 
 
@@ -46,7 +46,9 @@ def to_chrome_trace(machine) -> dict:
 
     Requires ``Machine(telemetry="spans")``.  Timestamps are microseconds
     relative to telemetry start; one "process" per rank plus a ``driver``
-    process for driver-side activity (rank ``-1``).
+    process for driver-side activity (rank ``-1``).  Instants come from
+    ``machine.flight`` (bounded per rank), their wall-clock times mapped
+    onto the span clock through ``Telemetry.t_start_wall``.
     """
     tel = machine.telemetry
     spans = tel.snapshot_spans()
@@ -89,20 +91,6 @@ def to_chrome_trace(machine) -> dict:
             args["parent"] = sp.parent
         if sp.args:
             args.update(sp.args)
-        if sp.kind == "event":
-            events.append(
-                {
-                    "ph": "i",
-                    "name": sp.name,
-                    "cat": _CATEGORIES["event"],
-                    "ts": us(sp.t0),
-                    "pid": pid,
-                    "tid": 0,
-                    "s": "p",  # process-scoped instant
-                    "args": args,
-                }
-            )
-            continue
         events.append(
             {
                 "ph": "X",
@@ -141,6 +129,22 @@ def to_chrome_trace(machine) -> dict:
                     "tid": 0,
                 }
             )
+    # -- runtime events: instants from the flight ring ------------------------
+    wall0 = tel.t_start_wall
+    for ev in machine.flight.events():
+        events.append(
+            {
+                "ph": "i",
+                "name": ev["kind"],
+                "cat": "event",
+                "ts": round((ev["t"] - wall0) * 1e6, 3),
+                "pid": _pid_of(ev["rank"], driver_pid),
+                "tid": 0,
+                "s": "p",  # process-scoped instant
+                "args": {k: v for k, v in ev.items()
+                         if k not in ("t", "rank", "kind")},
+            }
+        )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -300,6 +304,13 @@ def to_prometheus(machine) -> str:
         {},
         f"{stats.checkpoint.dirty_fraction:.9f}",
     )
+
+    # -- graph mutations (reflective over MutationStats) ---------------------
+    for fld in dataclasses.fields(stats.mutations):
+        metric = f"repro_mutation_{fld.name}"
+        kind = "gauge" if fld.name == "graph_version" else "counter"
+        w.declare(metric, kind, f"MutationStats.{fld.name}")
+        w.sample(metric, {}, getattr(stats.mutations, fld.name))
 
     # -- fast tiers and fusion (reflective over FusionStats) ----------------
     for fld in dataclasses.fields(stats.fusion):

@@ -333,22 +333,9 @@ class ChaosTransport:
         kind, arg = self._fate(splittable, is_ack)
         count = self.stats.count_chaos
         if kind:
-            tel = self.machine.telemetry
-            if tel.enabled:
-                tel.event(
-                    "fault",
-                    rank=env.dest,
-                    args={
-                        "kind": kind,
-                        "arg": arg,
-                        "tick": self._tick,
-                        "decision": self._decision - 1,
-                        "ack": is_ack,
-                    },
-                )
             self.machine.flight.record(
                 "fault", rank=env.dest, fault=kind, arg=arg,
-                tick=self._tick, ack=is_ack,
+                tick=self._tick, decision=self._decision - 1, ack=is_ack,
             )
         if kind == "split":
             if not splittable:  # scripted fault on an ineligible envelope
@@ -446,19 +433,8 @@ class ChaosTransport:
             _, _, env, batch = heapq.heappop(self._limbo)
             self._admit(env, batch)
         if self.reliable is not None and self.reliable.has_unacked():
-            tel = self.machine.telemetry
             for renv, batch in self.reliable.due_retries(self._tick):
                 self.stats.count_chaos("retries")
-                if tel.enabled:
-                    tel.event(
-                        "retry",
-                        rank=renv.dest,
-                        args={
-                            "tick": self._tick,
-                            "channel": list(renv.channel),
-                            "seq": renv.seq,
-                        },
-                    )
                 self.machine.flight.record(
                     "retry", rank=renv.dest, tick=self._tick,
                     channel=list(renv.channel), msg_seq=renv.seq,
@@ -499,19 +475,6 @@ class ChaosTransport:
         self.trace.append(ev)
         self.stats.count_chaos("crashes")
         self._clear_rank_mailbox(rank)
-        tel = self.machine.telemetry
-        if tel.enabled:
-            tel.event(
-                "fault",
-                rank=rank,
-                args={
-                    "kind": "crash",
-                    "arg": rank,
-                    "tick": self._tick,
-                    "decision": -1,
-                    "ack": False,
-                },
-            )
         flight = self.machine.flight
         flight.record(
             "crash", rank=rank, tick=self._tick,

@@ -638,16 +638,6 @@ class CheckpointManager:
                 stats.count_checkpoint("full_snapshots")
             if self.config.path:
                 self.save(self.config.path)
-            if tel.enabled:
-                tel.event(
-                    "snapshot",
-                    rank=-1,
-                    args={
-                        "index": ckpt.index,
-                        "epoch": ckpt.epoch,
-                        "full": full,
-                    },
-                )
             m.flight.record(
                 "checkpoint", index=ckpt.index, epoch=ckpt.epoch, full=full
             )
@@ -840,12 +830,6 @@ class CheckpointManager:
                 tel._pending.clear()
             self._epochs_at_last_capture = ckpt.epoch
             m.stats.count_checkpoint("restores")
-            if tel.enabled:
-                tel.event(
-                    "restore",
-                    rank=-1,
-                    args={"index": ckpt.index, "epoch": ckpt.epoch},
-                )
             m.flight.record("restore", index=ckpt.index, epoch=ckpt.epoch)
             return ckpt
         finally:

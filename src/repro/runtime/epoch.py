@@ -154,7 +154,7 @@ class Epoch:
         else:
             with tel.phase("probe"):
                 proven = self.machine.detector.probe()
-        self.machine.flight.record_probe(proven)
+        self.machine.flight.record("probe", result=proven)
         return proven
 
     def _account_control(self) -> None:

@@ -4,8 +4,8 @@ Production graph engines treat post-mortem observability as a first-class
 concern: when a rank dies mid-epoch, the question is never "what was the
 final state" (the checkpoint answers that) but "what was the machine
 *doing* in the seconds before it died".  The :class:`FlightRecorder`
-answers it with a bounded per-rank ring buffer of structured runtime
-events — epoch boundaries, termination-detector probes, reliable-delivery
+answers it with bounded ring buffers (one per rank and event kind) of
+structured runtime events — epoch boundaries, termination-detector probes, reliable-delivery
 retries, chaos faults, checkpoint captures, recovery rollbacks, graph
 mutations, health verdicts — recorded unconditionally (unlike
 telemetry, which defaults to ``off``) at a cost of one deque append per
@@ -18,7 +18,8 @@ Design constraints:
   a lock-guarded seq bump plus a ``deque.append`` into a bounded ring,
   so the C6 overhead budget (<= 1.10x with health counters included,
   ``BENCH_observe.json``) holds with room to spare.  ``Machine(
-  observe=False)`` disarms it entirely for A/B benches.
+  observe=False)`` disarms it for A/B benches (unless span telemetry
+  is on).
 * **Crash-proof.**  The recorder dumps itself to JSONL automatically
   when a :class:`~repro.runtime.recovery.RankCrashed` or any other
   exception unwinds an epoch (``Epoch.__exit__``), and again is attached
@@ -31,6 +32,13 @@ Design constraints:
   from many ranks/processes merge into one totally-ordered timeline —
   ``repro flight dump1.jsonl dump2.jsonl`` prints it.
 
+Every coarse runtime event is recorded exactly once, here; the
+exporters read this ring (``repro flight`` timelines, ``/status``'s
+``flight_tail``, and the Chrome-trace instants of
+:func:`~repro.analysis.telemetry_export.to_chrome_trace`).  The ring is
+armed unless ``Machine(observe=False)``, and always at telemetry level
+``spans`` (the span timeline needs the instants).
+
 Event kinds recorded by the runtime (the set is open — ``record()``
 accepts any kind):
 
@@ -40,16 +48,26 @@ accepts any kind):
                      wall seconds)
 ``epoch_abort``      an exception unwound an epoch (args: error type/text)
 ``probe``            a termination-detector probe (args: result)
-``fault``            a chaos fault was injected (kind/arg/tick/decision)
-``retry``            the reliable layer retransmitted (channel/seq/tick)
-``crash``            a rank died (:class:`RankCrashed` is about to be raised)
+``fault``            a chaos fault was injected (fault/arg/tick/decision/ack)
+``retry``            the reliable layer retransmitted (tick/channel/msg_seq)
+``crash``            a rank died (:class:`RankCrashed` is about to be raised;
+                     tick/epoch)
 ``checkpoint``       a snapshot was captured (index/epoch/full)
 ``restore``          a checkpoint was restored (index/epoch)
-``recovery``         the coordinator rolled back and is replaying
-``mutation``         a graph mutation batch was applied (version/op counts)
+``recovery``         the coordinator rolled back and is replaying (tick/
+                     rolled_back_to_epoch/lost_epochs)
+``mutation``         a graph mutation batch was applied (version, inserted/
+                     removed/updated counts, vertices_added)
+``rebalance``        the graph was repartitioned (old_ranks/new_ranks/
+                     partitioner/version/edge_cut/max_edge_share)
 ``health``           a watchdog verdict changed (name/firing/detail)
 ``sync``             a process-transport worker shipped its sync blob home
 ``dump``             the recorder wrote itself to disk (path/reason)
+``job_submit``       the service engine admitted a job (job/algorithm)
+``job_batch``        the engine ran K jobs as one K-wide batch (batch/size/
+                     algorithm/sent)
+``job_mutation``     a mutation job was applied (job/version)
+``job_rebalance``    a rebalance job was applied (job/ranks/partitioner)
 ===================  ==========================================================
 """
 
@@ -73,15 +91,15 @@ ENV_DIR = "REPRO_FLIGHT_DIR"
 class FlightConfig:
     """Flight-recorder knobs.
 
-    ``capacity`` bounds each per-rank ring (rank ``-1`` is the driver);
+    ``capacity`` bounds each ring — one per rank (``-1`` is the driver)
+    and event kind, so a chatty kind (retries on a lossy wire) never
+    evicts a rare one (the crash, the checkpoint it rolls back to);
     ``dir`` names where crash dumps land (``None``: ``$REPRO_FLIGHT_DIR``,
-    else the system temp dir); ``probes`` opts detector-probe events out
-    for workloads with very chatty ``try_finish`` loops.
+    else the system temp dir).
     """
 
     capacity: int = 256
     dir: Optional[str] = None
-    probes: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -89,16 +107,16 @@ class FlightConfig:
 
 
 class FlightRecorder:
-    """Bounded per-rank ring buffers of structured runtime events."""
+    """Bounded per-(rank, kind) ring buffers of structured runtime events."""
 
     def __init__(self, machine=None, config: Optional[FlightConfig] = None,
                  *, enabled: bool = True) -> None:
         self.machine = machine
         self.config = config or FlightConfig()
-        #: False only under ``Machine(observe=False)``: every record()
-        #: collapses to one attribute check.
+        #: False only under ``Machine(observe=False)`` without span
+        #: telemetry: every record() collapses to one attribute check.
         self.enabled = enabled
-        self._rings: dict[int, deque] = {}
+        self._rings: dict[tuple[int, str], deque] = {}
         self._lock = threading.Lock()
         self._seq = 0
         #: Sequence-number base; process-transport workers re-base theirs
@@ -110,33 +128,29 @@ class FlightRecorder:
 
     # -- recording -----------------------------------------------------------
     def record(self, kind: str, rank: int = -1, **args) -> None:
-        """Append one event to ``rank``'s ring (coarse events only —
-        never call this per message)."""
+        """Append one event to ``rank``'s ``kind`` ring (coarse events
+        only — never call this per message)."""
         if not self.enabled:
             return
         with self._lock:
             self._seq += 1
-            ring = self._rings.get(rank)
-            if ring is None:
-                ring = deque(maxlen=self.config.capacity)
-                self._rings[rank] = ring
-            ring.append((self.seq_base + self._seq, _wall(), kind,
-                         args or None))
+            self._ring(rank, kind).append(
+                (self.seq_base + self._seq, _wall(), kind, args or None))
 
-    def record_probe(self, result: bool) -> None:
-        """Detector-probe event, gated by ``config.probes``."""
-        if self.config.probes:
-            self.record("probe", result=bool(result))
+    def _ring(self, rank: int, kind: str) -> deque:
+        """The ring for ``(rank, kind)``, created on first use (call with
+        the lock held)."""
+        ring = self._rings.get((rank, kind))
+        if ring is None:
+            ring = self._rings[rank, kind] = deque(maxlen=self.config.capacity)
+        return ring
 
     # -- access --------------------------------------------------------------
     def events(self, rank: Optional[int] = None) -> list[dict]:
         """Events as dicts, sequence-ordered (one rank, or all merged)."""
         with self._lock:
-            if rank is not None:
-                raw = [(rank, e) for e in self._rings.get(rank, ())]
-            else:
-                raw = [(r, e) for r, ring in self._rings.items()
-                       for e in ring]
+            raw = [(r, e) for (r, _), ring in self._rings.items()
+                   if rank is None or r == rank for e in ring]
         raw.sort(key=lambda re: re[1][0])
         return [_as_dict(r, e) for r, e in raw]
 
@@ -168,18 +182,15 @@ class FlightRecorder:
         """Worker-side: the rings as plain data for the sync blob."""
         with self._lock:
             return [
-                (r, list(ring)) for r, ring in self._rings.items() if ring
+                (r, list(ring)) for (r, _), ring in self._rings.items() if ring
             ]
 
     def merge_state(self, state: list) -> None:
         """Parent-side: fold one worker's shipped rings into ours."""
         with self._lock:
             for r, events in state:
-                ring = self._rings.get(r)
-                if ring is None:
-                    ring = deque(maxlen=self.config.capacity)
-                    self._rings[r] = ring
-                ring.extend(tuple(e) for e in events)
+                for e in events:
+                    self._ring(r, e[2]).append(tuple(e))
 
     # -- dumping ---------------------------------------------------------------
     def dump(self, path: str, *, reason: str = "manual") -> str:

@@ -148,9 +148,8 @@ class HealthMonitor:
 
     The hot-path surface is exactly one method — :meth:`note_delivery`,
     called once per delivered *envelope* (never per logical payload) from
-    both delivery twins (``Transport.run_handler`` and the spans-level
-    ``Telemetry.deliver``), reusing the ``perf_counter`` values those
-    paths already computed.  Everything else runs at epoch boundaries,
+    ``Transport.run_handler``, reusing the ``perf_counter`` values that
+    path already computed.  Everything else runs at epoch boundaries,
     on the heartbeat thread, or on scrape.
     """
 
@@ -463,7 +462,8 @@ class ObserveConfig:
     ``serve`` starts the HTTP endpoint (``host:port``; port 0 binds an
     ephemeral port) and the stall heartbeat.  ``flight``/``health`` carry
     the subsystem configs; ``enabled=False`` (from ``observe=False``)
-    disarms both subsystems entirely for A/B overhead benches.
+    disarms both subsystems for A/B overhead benches (span telemetry
+    still arms the flight ring: its instants are the trace's events).
     """
 
     enabled: bool = True

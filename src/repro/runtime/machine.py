@@ -111,9 +111,11 @@ class Machine:
         #: /status over HTTP with a stall heartbeat; False disarms all of
         #: it (A/B overhead benches).
         self.observe: ObserveConfig = resolve_observe(observe)
-        #: Always-on black box of runtime events (dumped on crashes).
+        #: Always-on black box of runtime events (dumped on crashes); the
+        #: one record of every coarse event, so span telemetry arms it too.
         self.flight = FlightRecorder(
-            self, self.observe.flight, enabled=self.observe.enabled
+            self, self.observe.flight,
+            enabled=self.observe.enabled or self.telemetry.spans_on,
         )
         #: Watchdogs + per-rank load accounting; hooks in the transport
         #: and epoch paths check ``enabled`` before touching it.
@@ -335,20 +337,8 @@ class Machine:
             inserted=len(delta.inserted),
             removed=len(delta.removed),
             updated=len(delta.updated),
+            vertices_added=delta.n_vertices_after - delta.n_vertices_before,
         )
-        tel = self.telemetry
-        if tel.enabled:
-            tel.event(
-                "mutation",
-                args={
-                    "version": delta.version,
-                    "inserted": len(delta.inserted),
-                    "removed": len(delta.removed),
-                    "updated": len(delta.updated),
-                    "vertices_added": delta.n_vertices_after
-                    - delta.n_vertices_before,
-                },
-            )
         return delta
 
     # -- rank elasticity -----------------------------------------------------
@@ -487,19 +477,9 @@ class Machine:
             new_ranks=target,
             partitioner=quality.kind,
             version=graph.version,
+            edge_cut=quality.edge_cut,
+            max_edge_share=quality.max_edge_share,
         )
-        tel = self.telemetry
-        if tel.enabled:
-            tel.event(
-                "rebalance",
-                args={
-                    "old_ranks": old_ranks,
-                    "new_ranks": target,
-                    "kind": quality.kind,
-                    "edge_cut": quality.edge_cut,
-                    "max_edge_share": quality.max_edge_share,
-                },
-            )
         return quality
 
     def queue_mutations(self, batch, *, weight_map=None) -> None:

@@ -92,17 +92,6 @@ class RecoveryCoordinator:
         chaos = getattr(m, "chaos", None)
         if chaos is not None:
             chaos.revive(crash.rank)
-        tel = m.telemetry
-        if tel.enabled:
-            tel.event(
-                "recover",
-                rank=crash.rank,
-                args={
-                    "tick": crash.tick,
-                    "rolled_back_to_epoch": ckpt.epoch,
-                    "lost_epochs": lost,
-                },
-            )
         flight = getattr(m, "flight", None)
         dump = crash.flight_dump
         if flight is not None:
@@ -111,6 +100,7 @@ class RecoveryCoordinator:
             flight.record(
                 "recovery",
                 rank=crash.rank,
+                tick=crash.tick,
                 rolled_back_to_epoch=ckpt.epoch,
                 lost_epochs=lost,
             )

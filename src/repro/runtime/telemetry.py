@@ -42,8 +42,13 @@ Span kinds
             batch handler; ``links`` lists the msg spans it merged
             (a batch span has many causal predecessors, so it carries
             links rather than a single parent).
-``phase``   per-rank runtime phases: epoch, inject, drain, flush, probe.
-``event``   zero-duration instants: chaos faults, retransmissions.
+``phase``   per-rank runtime phases: epoch, inject, drain, flush, probe,
+            snapshot, restore.
+
+Point events (chaos faults, retransmissions, checkpoints, recoveries,
+mutations, ...) are not spans: each is recorded once, in the machine's
+flight ring (:mod:`repro.runtime.flight`), which level ``spans`` arms
+so the Chrome-trace export can draw them as instants.
 
 Exports live in :mod:`repro.analysis.telemetry_export` (Chrome-trace /
 Perfetto JSON, Prometheus text) and
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from time import perf_counter
+from time import perf_counter, time
 from typing import Any, Optional
 
 from .chaos import derive_rng
@@ -70,7 +75,6 @@ PHASES = (
     "flush",
     "probe",
     "handler",
-    "retry",
     "snapshot",
     "restore",
 )
@@ -203,6 +207,9 @@ class Telemetry:
         self._next_trace = 1
         self._rng = derive_rng(self.config.seed, "telemetry")
         self.t_start = perf_counter()
+        #: Wall clock at ``t_start``: maps flight-event times (wall
+        #: clock) onto the span timeline.
+        self.t_start_wall = time()
 
     # -- context stack (per OS thread) -----------------------------------------
     def _stack(self) -> list:
@@ -260,15 +267,6 @@ class Telemetry:
             c[0] += 1
             c[1] += seconds
 
-    def event(self, name: str, rank: int = -1,
-              args: Optional[dict] = None) -> None:
-        """Zero-duration instant (chaos fault, retransmission, ...)."""
-        self._count_phase(name, rank, 0.0)
-        if self.spans_on:
-            sp = self._begin("event", name, rank, parent=None, trace=None,
-                             args=args)
-            sp.t1 = sp.t0
-
     # -- epoch scope (single active epoch per machine) ---------------------------
     def epoch_begin(self) -> None:
         if not self.enabled:
@@ -293,7 +291,7 @@ class Telemetry:
         if top is _DROPPED:
             self._register(payload, None)
             return
-        if isinstance(top, Span) and top.kind not in ("phase", "event"):
+        if isinstance(top, Span) and top.kind != "phase":
             parent, trace = top.sid, top.trace
         else:
             # Root send (driver inject or send outside any handler):
@@ -362,100 +360,64 @@ class Telemetry:
         self._register(combined, keep)
 
     # -- delivery (Transport.run_handler, level "spans") ----------------------------
-    def deliver(self, transport, env, batch: bool) -> None:
-        """Traced twin of :meth:`Transport.run_handler`.
-
-        Runs the same statistics / detector / handler sequence as the
-        untraced path (bit-identical results), adding handle/batch spans
-        parented on the delivered msg spans and keeping the context
-        stack correct so handler-issued sends chain causally.
+    def invoke(self, mtype, ctx, env, batch: bool) -> None:
+        """Run one delivered envelope's handlers inside handle/batch spans
+        parented on the delivered msg spans, keeping the context stack
+        correct so handler-issued sends chain causally.  Statistics,
+        detector and timing stay with the caller, ``Transport.run_handler``.
         """
-        machine = self.machine
-        mtype = machine.registry.by_id(env.type_id)
-        ctx = transport.context_for(env.dest)
-        stats = machine.stats
-        machine.detector.on_receive(env.dest)
         st = self._stack()
-        t0 = perf_counter()
-        n = 1
-        if batch:
-            payloads = env.payload
-            n = len(payloads)
-            bh = mtype.batch_handler
-            stats.count_handler(mtype.name, n)
-            stats.count_batch_delivery(mtype.name, n, vectorized=bh is not None)
-            traces = env.trace if isinstance(env.trace, tuple) else (None,) * n
-            if bh is not None:
-                parents = [s for s in traces if isinstance(s, Span)]
-                if parents:
-                    bspan = self._begin(
-                        "batch", mtype.name, env.dest, parent=None,
-                        trace=parents[0].trace,
-                        links=[s.sid for s in parents],
-                        args={"items": n},
-                    )
-                    now = perf_counter()
-                    for s in parents:
-                        s.t1 = now
-                        hs = self._begin("handle", mtype.name, env.dest,
-                                         parent=s.sid, trace=s.trace,
-                                         args={"via": bspan.sid, "vector": True})
-                        hs.t1 = hs.t0
-                    st.append(bspan)
-                    try:
-                        bh(ctx, payloads)
-                    finally:
-                        st.pop()
-                        self._end(bspan)
-                else:  # every payload's trace was sampled out
-                    st.append(_DROPPED)
-                    try:
-                        bh(ctx, payloads)
-                    finally:
-                        st.pop()
-            else:
-                handler = mtype.handler
-                for item, msp in zip(payloads, traces):
-                    if isinstance(msp, Span):
-                        msp.t1 = perf_counter()
-                        hs = self._begin("handle", mtype.name, env.dest,
-                                         parent=msp.sid, trace=msp.trace)
-                        st.append(hs)
-                        try:
-                            handler(ctx, item)
-                        finally:
-                            st.pop()
-                            self._end(hs)
-                    else:
-                        st.append(_DROPPED)
-                        try:
-                            handler(ctx, item)
-                        finally:
-                            st.pop()
-        else:
-            stats.count_handler(mtype.name)
-            msp = env.trace if isinstance(env.trace, Span) else None
-            if msp is not None:
-                msp.t1 = perf_counter()
-                hs = self._begin("handle", mtype.name, env.dest,
-                                 parent=msp.sid, trace=msp.trace)
-                st.append(hs)
-                try:
-                    mtype.handler(ctx, env.payload)
-                finally:
-                    st.pop()
-                    self._end(hs)
-            else:
-                st.append(_DROPPED)
-                try:
-                    mtype.handler(ctx, env.payload)
-                finally:
-                    st.pop()
-        dt = perf_counter() - t0
-        stats.add_handler_time(mtype.name, dt)
-        health = machine.health
-        if health.enabled:
-            health.note_delivery(env.dest, n, dt)
+        name, rank = mtype.name, env.dest
+        if not batch:
+            self._handle(st, mtype.handler, ctx, env.payload, env.trace,
+                         name, rank)
+            return
+        payloads = env.payload
+        traces = (env.trace if isinstance(env.trace, tuple)
+                  else (None,) * len(payloads))
+        bh = mtype.batch_handler
+        if bh is None:
+            for item, msp in zip(payloads, traces):
+                self._handle(st, mtype.handler, ctx, item, msp, name, rank)
+            return
+        parents = [s for s in traces if isinstance(s, Span)]
+        bspan = None
+        if parents:
+            bspan = self._begin("batch", name, rank, parent=None,
+                                trace=parents[0].trace,
+                                links=[s.sid for s in parents],
+                                args={"items": len(payloads)})
+            now = perf_counter()
+            for s in parents:
+                s.t1 = now
+                hs = self._begin("handle", name, rank, parent=s.sid,
+                                 trace=s.trace,
+                                 args={"via": bspan.sid, "vector": True})
+                hs.t1 = hs.t0
+        # every payload's trace sampled out: descendants are dropped too
+        st.append(bspan if bspan is not None else _DROPPED)
+        try:
+            bh(ctx, payloads)
+        finally:
+            st.pop()
+            if bspan is not None:
+                self._end(bspan)
+
+    def _handle(self, st: list, handler, ctx, payload: tuple, msp,
+                name: str, rank: int) -> None:
+        """One scalar handler call inside a handle span (or dropped)."""
+        hs = None
+        if isinstance(msp, Span):
+            msp.t1 = perf_counter()
+            hs = self._begin("handle", name, rank, parent=msp.sid,
+                             trace=msp.trace)
+        st.append(hs if hs is not None else _DROPPED)
+        try:
+            handler(ctx, payload)
+        finally:
+            st.pop()
+            if hs is not None:
+                self._end(hs)
 
     # -- wire observers (MessageTracer et al.) --------------------------------------
     def add_wire_observer(self, fn) -> None:

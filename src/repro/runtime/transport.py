@@ -192,36 +192,35 @@ class Transport:
         Either way, handler-call counts reflect the number of *logical*
         payloads so the paper's message-cost model is unchanged.
         """
-        tel = self.machine.telemetry
-        if tel.spans_on:
-            # Traced twin: same stats/detector/handler sequence, plus
-            # handle/batch spans parented on the delivered msg spans.
-            tel.deliver(self, env, batch)
-            return
-        mtype = self.machine.registry.by_id(env.type_id)
+        machine = self.machine
+        mtype = machine.registry.by_id(env.type_id)
         ctx = self.context_for(env.dest)
-        stats = self.machine.stats
-        self.machine.detector.on_receive(env.dest)
+        stats = machine.stats
+        machine.detector.on_receive(env.dest)
         t0 = perf_counter()
         if batch:
-            payloads = env.payload
-            n = len(payloads)
+            n = len(env.payload)
             bh = mtype.batch_handler
             stats.count_handler(mtype.name, n)
             stats.count_batch_delivery(mtype.name, n, vectorized=bh is not None)
-            if bh is not None:
-                bh(ctx, payloads)
-            else:
-                handler = mtype.handler
-                for item in payloads:
-                    handler(ctx, item)
         else:
             n = 1
             stats.count_handler(mtype.name)
+        tel = machine.telemetry
+        if tel.spans_on:
+            # Same handler calls, inside handle/batch spans.
+            tel.invoke(mtype, ctx, env, batch)
+        elif not batch:
             mtype.handler(ctx, env.payload)
+        elif bh is not None:
+            bh(ctx, env.payload)
+        else:
+            handler = mtype.handler
+            for item in env.payload:
+                handler(ctx, item)
         dt = perf_counter() - t0
         stats.add_handler_time(mtype.name, dt)
-        health = self.machine.health
+        health = machine.health
         if health.enabled:
             health.note_delivery(env.dest, n, dt)
 
@@ -266,7 +265,7 @@ class Transport:
             else:
                 with tel.phase("probe"):
                     proven = detector.probe()
-            flight.record_probe(proven)
+            flight.record("probe", result=proven)
             if proven:
                 return
 

@@ -111,6 +111,27 @@ class TestPrometheus:
         for f in dataclasses.fields(ChaosStats):
             assert f"repro_chaos_{f.name} " in text, f.name
 
+    def test_reflects_mutation_fields(self):
+        """Mutations count through MutationStats (repro_mutation_*), not
+        as zero-second phase invocations."""
+        import dataclasses
+
+        from repro.graph import MutationBatch, build_graph
+        from repro.runtime.stats import MutationStats
+
+        m = Machine(2, telemetry="counters")
+        m.attach_graph(build_graph(4, [(0, 1), (1, 2)], n_ranks=2)[0])
+        batch = MutationBatch()
+        batch.insert_edge(2, 3)
+        m.apply_mutations(batch)
+        samples, errors = parse_prometheus(to_prometheus(m))
+        assert errors == []
+        for f in dataclasses.fields(MutationStats):
+            assert (f"repro_mutation_{f.name}", frozenset()) in samples
+        assert samples[("repro_mutation_batches_applied", frozenset())] == 1
+        assert not [k for k in samples if k[0] == "repro_phase_invocations"
+                    and ("phase", "mutation") in k[1]]
+
     def test_reflects_native_fields(self):
         """Every FusionStats counter (the fast tier's, formerly the native
         tier's) exports as repro_fusion_* without touching the exporter

@@ -113,10 +113,8 @@ class TestJumpChainFidelity:
         )
         run_one_round(m, bp)
         self.check_machine(m)
-        # chaos visibly happened and was recorded as events
-        events = [sp for sp in m.telemetry.snapshot_spans()
-                  if sp.kind == "event"]
-        assert any(sp.name == "fault" for sp in events)
+        # chaos visibly happened and was recorded in the flight ring
+        assert any(ev["kind"] == "fault" for ev in m.flight.events())
 
     def test_threads_chaos_reliable(self):
         m, bp = jump_machine(

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from repro.algorithms.sssp import sssp_fixed_point
+from repro.analysis import to_chrome_trace, validate_chrome_trace
 from repro.graph import build_graph, erdos_renyi, uniform_weights
 from repro.runtime import (
     ChaosConfig,
     CheckpointConfig,
+    FaultEvent,
     FlightConfig,
     FlightRecorder,
     Machine,
     RankCrashed,
+    RecoveryCoordinator,
     load_flight_dump,
     merge_flight_events,
     render_flight_timeline,
@@ -60,10 +63,18 @@ class TestRecorder:
         assert [e["i"] for e in evs] == [6, 7, 8, 9]  # oldest evicted
         assert len(fr) == 5
 
+    def test_chatty_kind_never_evicts_rare_one(self):
+        fr = FlightRecorder(config=FlightConfig(capacity=4))
+        fr.record("crash", rank=1, tick=3)
+        for i in range(10):
+            fr.record("retry", rank=1, i=i)
+        kinds = [e["kind"] for e in fr.events(rank=1)]
+        assert kinds == ["crash"] + ["retry"] * 4
+
     def test_disabled_records_nothing(self):
         fr = FlightRecorder(enabled=False)
         fr.record("a")
-        fr.record_probe(True)
+        fr.record("probe", result=True)
         assert len(fr) == 0
         assert fr.auto_dump("crash") is None
 
@@ -83,11 +94,6 @@ class TestRecorder:
         assert len(fr) == 0
         fr.record("b")
         assert fr.events()[0]["seq"] > first
-
-    def test_probe_gate(self):
-        fr = FlightRecorder(config=FlightConfig(probes=False))
-        fr.record_probe(True)
-        assert len(fr) == 0
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -303,3 +309,62 @@ class TestRuntimeEvents:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("nope\n")
         assert main(["flight", str(bad)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# one event record: every exporter reads the flight ring
+# ---------------------------------------------------------------------------
+
+
+class TestOneEventRecord:
+    """Checkpoint, crash, restore and recovery are each recorded once, in
+    the flight ring; the Chrome trace and the JSONL dump both read it."""
+
+    RUNTIME_KINDS = {"checkpoint", "crash", "restore", "recovery"}
+
+    def crashed_run(self, tmp_path, monkeypatch, **mkw):
+        monkeypatch.setenv(ENV_DIR, str(tmp_path))
+        g, wbg = small_instance(seed=9)
+        m = Machine(
+            n_ranks=4,
+            telemetry="spans",
+            checkpoint=CheckpointConfig(every=1),
+            chaos=ChaosConfig(script=(FaultEvent(30, "crash", 1),)),
+            **mkw,
+        )
+        coord = RecoveryCoordinator(m)
+        coord.run(lambda: sssp_fixed_point(m, g, wbg, 0))
+        assert coord.reports, "the scripted crash must fire"
+        return m
+
+    @pytest.mark.parametrize("observe", [None, False],
+                             ids=["observe", "observe_off"])
+    def test_chrome_trace_instants(self, tmp_path, monkeypatch, observe):
+        m = self.crashed_run(tmp_path, monkeypatch, observe=observe)
+        obj = to_chrome_trace(m)
+        instants = [e for e in obj["traceEvents"] if e["ph"] == "i"]
+        assert self.RUNTIME_KINDS <= {e["name"] for e in instants}
+        assert validate_chrome_trace(obj) == []
+        (crash,) = [e for e in instants if e["name"] == "crash"]
+        assert crash["pid"] == 1 and crash["args"]["tick"] >= 30
+        # instants sit on the span timeline
+        spans = [e for e in obj["traceEvents"] if e["ph"] == "X"]
+        last = max(e["ts"] + e["dur"] for e in spans)
+        assert all(0 <= e["ts"] <= last + 1e6 for e in instants)
+
+    def test_dump_round_trips_and_merges(self, tmp_path, monkeypatch):
+        m = self.crashed_run(tmp_path, monkeypatch)
+        recorded = json.loads(json.dumps(m.flight.events()))
+        path = m.flight.dump(str(tmp_path / "run.jsonl"))
+        loaded = load_flight_dump(path)
+        assert loaded == recorded
+        crash_dumps = [load_flight_dump(str(p))
+                       for p in tmp_path.glob("flight-*.jsonl")]
+        assert crash_dumps, "the crash must auto-dump"
+        assert merge_flight_events([loaded, loaded]) == loaded
+        merged = merge_flight_events([loaded, *crash_dumps])
+        # the crash dump adds only what the live ring evicted since
+        assert all(ev in merged for ev in loaded)
+        keys = [(e["t"], e["seq"]) for e in merged]
+        assert keys == sorted(set(keys))
+        assert self.RUNTIME_KINDS <= {e["kind"] for e in merged}

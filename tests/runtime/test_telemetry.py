@@ -3,16 +3,19 @@
 import pytest
 
 from repro import Machine
+from repro.algorithms.sssp import sssp_fixed_point
+from repro.analysis import to_chrome_trace
+from repro.graph import build_graph, erdos_renyi, uniform_weights
 from repro.runtime import (
     ChaosConfig,
+    CheckpointConfig,
     LEVELS,
     Span,
-    Telemetry,
     TelemetryConfig,
 )
 from repro.runtime.caching import CachingLayer
 from repro.runtime.reductions import ReductionLayer, min_payload
-from repro.runtime.telemetry import make_telemetry
+from repro.runtime.telemetry import PHASES, make_telemetry
 
 
 def chain_machine(n=4, depth=6, **mkw):
@@ -142,11 +145,18 @@ class TestSpanTrees:
         assert handle.args["marker"] == 1
 
     def test_events_recorded(self):
-        tel = Telemetry(None, TelemetryConfig(level="spans"))
-        tel.event("fault", rank=2, args={"kind": "drop"})
-        ev = [sp for sp in tel.snapshot_spans() if sp.kind == "event"]
-        assert len(ev) == 1 and ev[0].duration == 0.0
-        assert ev[0].args == {"kind": "drop"}
+        # Point events live in the flight ring (armed by span telemetry
+        # even with observe off) and export as Chrome-trace instants.
+        m = Machine(4, telemetry="spans", observe=False)
+        m.flight.record("fault", rank=2, fault="drop")
+        (ev,) = m.flight.events()
+        assert ev["kind"] == "fault" and ev["fault"] == "drop"
+        assert not [sp for sp in m.telemetry.snapshot_spans()
+                    if sp.kind not in ("msg", "handle", "batch", "phase")]
+        (inst,) = [e for e in to_chrome_trace(m)["traceEvents"]
+                   if e["ph"] == "i"]
+        assert inst["name"] == "fault" and inst["pid"] == 2
+        assert inst["args"]["fault"] == "drop" and inst["ts"] >= 0
 
 
 class TestSamplingAndCapacity:
@@ -228,6 +238,30 @@ class TestBitIdentical:
         chaos = ChaosConfig(seed=7, drop=0.1, duplicate=0.1)
         base = self._run("off", chaos=chaos)
         assert self._run("spans", chaos=chaos) == base
+
+
+class TestPhaseCounts:
+    """Each phase scope counts once per entry: runtime events are flight
+    records, never zero-second phase counts."""
+
+    def test_snapshot_and_restore_counted_once(self):
+        n, k = 40, 120
+        s, t = erdos_renyi(n, k, seed=3)
+        g, wbg = build_graph(n, list(zip(s, t)), n_ranks=2,
+                             weights=uniform_weights(k, seed=4))
+        m = Machine(2, telemetry="counters",
+                    checkpoint=CheckpointConfig(every=1))
+        sssp_fixed_point(m, g, wbg, 0)
+        st = m.stats.checkpoint
+        assert st.snapshots >= 2
+        counts = m.telemetry.counters_snapshot()
+        assert counts[("snapshot", -1)][0] == st.snapshots
+        m.checkpoints.restore(m.checkpoints.latest())
+        counts = m.telemetry.counters_snapshot()
+        assert st.restores == 1
+        assert counts[("restore", -1)][0] == st.restores
+        assert "retry" not in PHASES
+        assert {k[0] for k in counts} <= set(PHASES)
 
 
 class TestThreadsTransport:
